@@ -1,6 +1,8 @@
 """Edgeworth expansions for standardized sums, weak Cramer certificates,
 and bootstrap rate studies."""
 
+__version__ = "0.1.0"
+
 from .cumulants import (CumulantSet, MomentSet, Polynomial,
                         averaged_standardized_cumulants, chi_poly,
                         cumulants_to_moments, enumerate_multi_indices,
@@ -15,10 +17,8 @@ from .cramer import (CharFunctionHandle, CramerCertificate, c_kr_estimate,
                      weak_cramer_scan, xi_wrap)
 from .bootstrap import (Dataset, EventFlags, SampleStats, bootstrap_draws,
                         empirical_edgeworth, enlargement_deviation,
-                        event_checks, fhat_indicator, g_value_and_jet,
-                        sample_stats, sup_deviation, tstat_bootstrap)
+                        event_checks, g_value_and_jet, sample_stats,
+                        sup_deviation, tstat_bootstrap)
 from .families import Family, make_family, register_builtin_families
 from .harness import (StudyRecord, StudyReport, emit_report, exact_sum_cdf_mc,
                       rate_study, uniform_sweep)
-
-__version__ = "0.1.0"

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cumulants import (CumulantSet, MultiIndex, enumerate_multi_indices,
-                        inv_sqrt_spd, moments_to_cumulants,
+from .cumulants import (CumulantSet, inv_sqrt_spd, moments_to_cumulants,
                         raw_moments_from_points)
 from .expansion import EdgeworthExpansion, SetSpec, build_expansion
 from .jets import DerivativeJet, jet_variable
@@ -27,9 +26,7 @@ __all__ = [
     "event_checks",
     "g_value_and_jet",
     "tstat_bootstrap",
-    "fhat_indicator",
     "tstat_pushforward",
-    "edgeworth_tstat_measure",
     "edgeworth_tstat_curve",
     "sup_deviation",
     "enlargement_deviation",
@@ -93,7 +90,7 @@ class SampleStats:
 
 def sample_stats(data, s: int) -> SampleStats:
     pts = _as_points(data)
-    n, d = pts.shape
+    n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
     mean = pts.mean(axis=0)
@@ -102,14 +99,7 @@ def sample_stats(data, s: int) -> SampleStats:
     cov = (cov + cov.T) / 2
     eig = np.linalg.eigvalsh(cov)
     norms = np.sqrt(np.sum(pts * pts, axis=1))
-    absx = np.abs(pts)
-    max_mixed = 0.0
-    for v in enumerate_multi_indices(d, s):
-        prod = np.ones(n)
-        for k, p in enumerate(v):
-            if p:
-                prod = prod * absx[:, k] ** p
-        max_mixed = max(max_mixed, float(prod.mean()))
+    max_mixed = max(raw_moments_from_points(np.abs(pts), s).table.values())
     return SampleStats(mean=mean, cov=cov,
                        lam_min=float(eig[0]), lam_max=float(eig[-1]),
                        abs_moment=float((norms ** s).mean()),
@@ -132,21 +122,31 @@ def bootstrap_draws(data, B: int, seed: int = 0,
     so the output is bit-identical for any parallel schedule.
     """
     pts = _as_points(data)
-    n, d = pts.shape
+    n = pts.shape[0]
     if B < 1:
         raise ValueError("B must be >= 1")
     stats = sample_stats(pts, 2) if n >= 2 else None
     if stats is None or stats.lam_min <= 0:
         raise ValueError("sample covariance is singular; cannot standardize")
     A = inv_sqrt_spd(stats.cov)
-    out = np.empty((B, d))
+
+    def standardize(res):
+        return sqrt(n) * (res.mean(axis=1) - stats.mean) @ A.T
+
+    return _resample(pts, B, seed, stream_key, standardize)
+
+
+def _resample(values: np.ndarray, B: int, seed: int,
+              stream_key: Tuple[int, ...], reduce: Callable) -> np.ndarray:
+    """reduce(resamples) over B resamples of the rows of values, drawn in
+    fixed-size chunks; chunk ci uses the stream (seed, *stream_key, ci)."""
+    n = values.shape[0]
+    out = []
     for ci, lo in enumerate(range(0, B, _CHUNK)):
-        m = min(_CHUNK, B - lo)
         rng = child_rng(seed, *stream_key, ci)
-        idx = rng.integers(0, n, size=(m, n))
-        means = pts[idx].mean(axis=1)
-        out[lo:lo + m] = sqrt(n) * (means - stats.mean) @ A.T
-    return out
+        idx = rng.integers(0, n, size=(min(_CHUNK, B - lo), n))
+        out.append(reduce(values[idx]))
+    return np.concatenate(out)
 
 
 def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:
@@ -248,19 +248,15 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
     if np.unique(w).size < 2:
         raise ValueError("need at least two distinct values")
     wbar = w.mean()
-    out = []
-    degenerate = 0
-    for ci, lo in enumerate(range(0, B, _CHUNK)):
-        m = min(_CHUNK, B - lo)
-        rng = child_rng(seed, *stream_key, ci)
-        idx = rng.integers(0, n, size=(m, n))
-        res = w[idx]
+
+    def studentize(res):
         mb = res.mean(axis=1)
         s2 = (res * res).mean(axis=1) - mb * mb
         ok = s2 > 0
-        degenerate += int(np.sum(~ok))
-        out.append(sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok]))
-    return np.concatenate(out), degenerate
+        return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
+
+    kept = _resample(w, B, seed, stream_key, studentize)
+    return kept, B - kept.size
 
 
 def tstat_pushforward(x: np.ndarray, stats: SampleStats, wbar: float,
@@ -277,26 +273,6 @@ def tstat_pushforward(x: np.ndarray, stats: SampleStats, wbar: float,
     vals = np.zeros(x.shape[0])
     vals[valid] = sqrt(n) * (shifted[valid, 0] - wbar) / np.sqrt(var[valid])
     return vals, valid
-
-
-class _SingularCounter:
-    count = 0
-
-
-def fhat_indicator(t: float, x, stats: SampleStats, wbar: float, n: int,
-                   counter: Optional[List[int]] = None) -> int:
-    """Indicator that the pushed-forward studentized statistic is <= t.
-
-    Points where the variance coordinate goes nonpositive return 0 and
-    bump the supplied counter (a one-element list).
-    """
-    vals, valid = tstat_pushforward(np.atleast_1d(x)[None, :]
-                                    if np.ndim(x) == 1 else x, stats, wbar, n)
-    if not valid[0]:
-        if counter is not None:
-            counter[0] += 1
-        return 0
-    return int(vals[0] <= t)
 
 
 def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
@@ -330,15 +306,6 @@ def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     return values, np.sqrt(var), singular
 
 
-def edgeworth_tstat_measure(t: float, e: EdgeworthExpansion,
-                            stats: SampleStats, wbar: float, n: int,
-                            budget: int, rng: np.random.Generator
-                            ) -> Tuple[float, float]:
-    vals, ses, _ = edgeworth_tstat_curve(np.array([t]), e, stats, wbar, n,
-                                         budget, rng)
-    return float(vals[0]), float(ses[0])
-
-
 def sup_deviation(members: Sequence, q_emp: Callable, q_tilde: Callable
                   ) -> Tuple[float, List[dict]]:
     """Max absolute deviation between two evaluators over a member class."""
@@ -362,8 +329,6 @@ def enlargement_deviation(A: SetSpec, eta: float, draws: np.ndarray) -> float:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 1:
         draws = draws[:, None]
-    if A.kind not in ("halfline", "box", "ball", "halfspace"):
-        raise ValueError("unsupported set kind for enlargement")
     base = float(A.contains(draws).mean())
     grown = float(A.enlarged(eta).contains(draws).mean())
     return grown - base

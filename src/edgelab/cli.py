@@ -19,8 +19,8 @@ from . import bootstrap as bl
 from . import cramer
 from .expansion import SetSpec, build_expansion, set_measure
 from .families import make_family
-from .harness import (StudyReport, default_t_grid, dkw_halfwidth, emit_report,
-                      rate_study, uniform_sweep)
+from .harness import (StudyReport, default_t_grid, dkw_halfwidth,
+                      ecdf_on_grid, emit_report, rate_study, uniform_sweep)
 
 
 def _out_dir(path: str | None) -> str:
@@ -43,7 +43,7 @@ def _load_points(path: str) -> np.ndarray:
                 continue       # header line
     if not rows:
         raise ValueError("no numeric rows in %s" % path)
-    return np.asarray(rows)
+    return bl.Dataset(rows).points
 
 
 def _set_from_json(obj: dict) -> SetSpec:
@@ -67,12 +67,16 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_cf_scan(args) -> int:
+def _scan(args):
     pts = _load_points(args.data)
     h = cramer.CharFunctionHandle.from_points(pts)
-    cert = cramer.weak_cramer_scan(h, b=args.b, R=args.R, T_max=args.Tmax,
-                                   n_radii=args.grid_radii,
-                                   n_dirs=args.grid_dirs, c=args.c)
+    return pts, cramer.weak_cramer_scan(
+        h, b=args.b, R=args.R, T_max=args.Tmax, n_radii=args.grid_radii,
+        n_dirs=args.grid_dirs, c=args.c)
+
+
+def cmd_cf_scan(args) -> int:
+    pts, cert = _scan(args)
     payload = cert.to_json_dict()
     if args.cR is not None:
         payload["prob_bound"] = cramer.failure_prob_bound(args.cR,
@@ -83,11 +87,7 @@ def cmd_cf_scan(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    pts = _load_points(args.data)
-    h = cramer.CharFunctionHandle.from_points(pts)
-    cert = cramer.weak_cramer_scan(h, b=args.b, R=args.R, T_max=args.Tmax,
-                                   n_radii=args.grid_radii,
-                                   n_dirs=args.grid_dirs, c=args.c)
+    pts, cert = _scan(args)
     # pairwise route: wrapped-square bound at the worst scanned frequency
     S, record = cramer.ustat_certificate(pts, np.asarray(cert.witness),
                                          args.b, args.R)
@@ -151,7 +151,6 @@ def cmd_bootstrap_compare(args) -> int:
         "n": int(pts.shape[0]), "B": args.B, "s": args.s,
         "sup_deviation": sup,
         "events": {"e0": flags.e0, "e1": flags.e1, "e2": flags.e2},
-        "degenerate_draws": 0,
         "csv": csv_path,
     }
     json_path = os.path.join(out_dir, "bootstrap_compare.json")
@@ -168,8 +167,7 @@ def cmd_tstat_study(args) -> int:
     w = fam.sample(rng, args.n)
     tgrid = _parse_grid(args.tgrid)
     tstats, degenerate = bl.tstat_bootstrap(w, args.B, seed=args.seed)
-    tsorted = np.sort(tstats)
-    q_emp = np.searchsorted(tsorted, tgrid, side="right") / tstats.size
+    q_emp = ecdf_on_grid(tstats, tgrid)
     x = np.stack([w, w ** 2], axis=1)
     stats = bl.sample_stats(x, args.s)
     e = bl.empirical_edgeworth(x, args.s)

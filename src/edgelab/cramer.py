@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -52,6 +52,8 @@ class CharFunctionHandle:
             if pts.shape[1] != self.dimension:
                 raise ValueError("points have dimension %d, expected %d"
                                  % (pts.shape[1], self.dimension))
+            if not np.all(np.isfinite(pts)):
+                raise ValueError("all coordinates must be finite")
             object.__setattr__(self, "points", pts)
 
     @staticmethod

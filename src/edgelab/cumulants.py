@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -192,36 +192,36 @@ def _series_mul(a: Dict[MultiIndex, object], b: Dict[MultiIndex, object],
     return out
 
 
-def _series_log1p(u: Dict[MultiIndex, object], max_order: int
-                  ) -> Dict[MultiIndex, object]:
-    """log(1 + u) for a series u with zero constant term."""
-    out: Dict[MultiIndex, object] = {}
+def _series_compose(u: Dict[MultiIndex, object], max_order: int,
+                    term: Callable[[int, object], object],
+                    const: Dict[MultiIndex, object]
+                    ) -> Dict[MultiIndex, object]:
+    """const + sum_{k >= 1} term(k, .) applied to the coefficients of u^k,
+    for a series u with zero constant term (so u^k vanishes past max_order)."""
+    out = dict(const)
     power = dict(u)
     k = 1
     while power and k <= max_order:
-        sign = 1 if k % 2 == 1 else -1
         for nu, c in power.items():
-            out[nu] = out.get(nu, 0) + sign * c / k
+            out[nu] = out.get(nu, 0) + term(k, c)
         k += 1
         power = _series_mul(power, u, max_order)
     return out
+
+
+def _series_log1p(u: Dict[MultiIndex, object], max_order: int
+                  ) -> Dict[MultiIndex, object]:
+    """log(1 + u) for a series u with zero constant term."""
+    return _series_compose(u, max_order,
+                           lambda k, c: (1 if k % 2 == 1 else -1) * c / k, {})
 
 
 def _series_exp(u: Dict[MultiIndex, object], max_order: int
                 ) -> Dict[MultiIndex, object]:
     """exp(u) for a series u with zero constant term."""
     d = len(next(iter(u))) if u else 1
-    out: Dict[MultiIndex, object] = {(0,) * d: 1}
-    power = dict(u)
-    kfact = 1
-    k = 1
-    while power and k <= max_order:
-        for nu, c in power.items():
-            out[nu] = out.get(nu, 0) + c / kfact
-        k += 1
-        kfact *= k
-        power = _series_mul(power, u, max_order)
-    return out
+    return _series_compose(u, max_order, lambda k, c: c / factorial(k),
+                           {(0,) * d: 1})
 
 
 def _series_substitute_linear(a: Dict[MultiIndex, object], B: np.ndarray,

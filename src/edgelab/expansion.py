@@ -9,17 +9,15 @@ polynomial coefficient tables double as Hermite coefficient tables.
 
 from __future__ import annotations
 
-import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, sqrt, pi, inf
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn, ndtr
 
 from .cumulants import (CumulantSet, MultiIndex, Polynomial,
-                        enumerate_multi_indices, multi_factorial)
+                        _series_substitute_linear, chi_poly)
 
 __all__ = [
     "pj_polynomial",
@@ -38,20 +36,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Hermite machinery (probabilists' convention)
 
-def hermite_value(k: int, x):
-    """He_k(x) by the recurrence He_{k+1} = x He_k - k He_{k-1}."""
+def _hermite_column(max_k: int, x) -> np.ndarray:
+    """He_0..He_max_k stacked along the first axis, by the recurrence
+    He_{k+1} = x He_k - k He_{k-1}."""
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for m in range(1, k):
-        prev, cur = cur, x * cur - m * prev
-    return cur if cur.ndim else float(cur)
-
-
-def _hermite_column(max_k: int, x: np.ndarray) -> np.ndarray:
-    """He_0..He_max_k stacked along the first axis, for an array x."""
     out = np.empty((max_k + 1,) + x.shape)
     out[0] = 1.0
     if max_k >= 1:
@@ -59,6 +47,12 @@ def _hermite_column(max_k: int, x: np.ndarray) -> np.ndarray:
     for m in range(1, max_k):
         out[m + 1] = x * out[m] - m * out[m - 1]
     return out
+
+
+def hermite_value(k: int, x):
+    """He_k(x), a float for scalar x."""
+    val = _hermite_column(k, x)[k]
+    return val if val.ndim else float(val)
 
 
 def hermite_tensor(nu: MultiIndex, x) -> float:
@@ -70,31 +64,22 @@ def hermite_tensor(nu: MultiIndex, x) -> float:
     return float(val)
 
 
-def _hermite_to_monomial_1d(k: int) -> Dict[int, float]:
-    """Coefficients of He_k in the monomial basis."""
-    out = {}
-    for m in range(k // 2 + 1):
-        out[k - 2 * m] = ((-1) ** m * factorial(k)
-                          / (factorial(m) * 2 ** m * factorial(k - 2 * m)))
-    return out
+def _basis_1d(k: int, sign: int) -> Dict[int, float]:
+    """He_k in the monomial basis (sign -1), or x^k in the Hermite basis
+    (sign +1): the two tables differ only in the sign of the 2m-step."""
+    return {k - 2 * m: (sign ** m * factorial(k)
+                        / (factorial(m) * 2 ** m * factorial(k - 2 * m)))
+            for m in range(k // 2 + 1)}
 
 
-def _monomial_to_hermite_1d(k: int) -> Dict[int, float]:
-    """Coefficients of x^k in the Hermite basis."""
-    out = {}
-    for m in range(k // 2 + 1):
-        out[k - 2 * m] = (factorial(k)
-                          / (factorial(m) * 2 ** m * factorial(k - 2 * m)))
-    return out
-
-
-def _basis_change(coeffs: Dict[MultiIndex, float], conv) -> Dict[MultiIndex, float]:
-    """Apply a per-coordinate 1-d basis conversion to a tensor table."""
+def _basis_change(coeffs: Dict[MultiIndex, float], sign: int
+                  ) -> Dict[MultiIndex, float]:
+    """Apply the per-coordinate 1-d basis conversion to a tensor table."""
     out: Dict[MultiIndex, float] = {}
     for nu, c in coeffs.items():
         partial = {(): c}
         for p in nu:
-            table = conv(p)
+            table = _basis_1d(p, sign)
             nxt: Dict[Tuple[int, ...], float] = {}
             for prefix, cp in partial.items():
                 for q, cq in table.items():
@@ -107,11 +92,11 @@ def _basis_change(coeffs: Dict[MultiIndex, float], conv) -> Dict[MultiIndex, flo
 
 
 def hermite_table_to_monomial(coeffs: Dict[MultiIndex, float]) -> Dict[MultiIndex, float]:
-    return _basis_change(coeffs, _hermite_to_monomial_1d)
+    return _basis_change(coeffs, -1)
 
 
 def monomial_table_to_hermite(coeffs: Dict[MultiIndex, float]) -> Dict[MultiIndex, float]:
-    return _basis_change(coeffs, _monomial_to_hermite_1d)
+    return _basis_change(coeffs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +124,6 @@ def pj_polynomial(j: int, c: CumulantSet) -> Polynomial:
     if j + 2 > c.max_order:
         raise ValueError("order %d cumulants needed, table stops at %d"
                          % (j + 2, c.max_order))
-    from .cumulants import chi_poly
     d = c.dimension
     total = Polynomial(d, {})
     base = {r: chi_poly(r + 2, c) for r in range(1, j + 1)}
@@ -194,30 +178,13 @@ class EdgeworthExpansion:
         phi = np.exp(-0.5 * float(x @ x)) / (2 * pi) ** (self.dimension / 2)
         return float(self.weight(x[None, :])[0] * phi)
 
-    def density_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        phi = np.exp(-0.5 * np.sum(x * x, axis=1)) / (2 * pi) ** (self.dimension / 2)
-        return self.weight(x) * phi
-
-    def cdf_1d(self, t: float) -> float:
-        """One-dimensional CDF via the exact Hermite antiderivative."""
+    def cdf_1d(self, t):
+        """One-dimensional CDF at t (a scalar or an array): the measure of
+        (-inf, t]."""
         if self.dimension != 1:
             raise ValueError("cdf_1d requires dimension 1")
-        t = float(t)
-        if t == inf:
-            return 1.0
-        if t == -inf:
-            return 0.0
-        out = 0.0
-        phi_t = np.exp(-0.5 * t * t) / sqrt(2 * pi)
-        for j, tab in self.hermite_coeffs.items():
-            scale = self.n ** (-j / 2.0)
-            for (k,), c in tab.items():
-                if k == 0:
-                    out += scale * c * float(ndtr(t))
-                else:
-                    out -= scale * c * hermite_value(k - 1, t) * phi_t
-        return out
+        val = _box_measure(self, [-inf], [np.asarray(t, dtype=float)])
+        return val if val.ndim else float(val)
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,16 +283,15 @@ class SetSpec:
                        normal=tuple(float(v) for v in normal),
                        offset=float(offset))
 
-    def dimension_of(self, default: int) -> int:
+    @property
+    def dimension(self) -> int:
         if self.kind == "halfline":
             return 1
         if self.kind == "box":
             return len(self.low)
         if self.kind == "ball":
             return len(self.center)
-        if self.kind == "halfspace":
-            return len(self.normal)
-        return default
+        return len(self.normal)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Boolean membership for points of shape (m, d)."""
@@ -372,33 +338,42 @@ class MeasureResult:
     method: str
 
 
-def _interval_hermite_integral(k: int, a: float, b: float) -> float:
-    """Integral of He_k(u) phi(u) over [a, b], exact antiderivative."""
-    if k == 0:
-        return float(ndtr(b) - ndtr(a))
+def _hermite_interval(K: int, a, b) -> np.ndarray:
+    """Integrals of He_k(u) phi(u) over [a, b] for k = 0..K, stacked along
+    the first axis; a and b broadcast and may be infinite.
+
+    Exact antiderivatives: Phi for k = 0, -He_{k-1} phi for k >= 1.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+
     def tail(t):
-        if t == inf or t == -inf:
-            return 0.0
-        return hermite_value(k - 1, t) * np.exp(-0.5 * t * t) / sqrt(2 * pi)
-    return tail(a) - tail(b)
+        finite = np.isfinite(t)
+        t = np.where(finite, t, 0.0)
+        gauss = np.where(finite, np.exp(-0.5 * t * t), 0.0)
+        return _hermite_column(K - 1, t) * gauss / sqrt(2 * pi)
+
+    out = np.empty((K + 1,) + a.shape)
+    out[0] = ndtr(b) - ndtr(a)
+    if K >= 1:
+        out[1:] = tail(a) - tail(b)
+    return out
 
 
-def _box_measure(e: EdgeworthExpansion, low, high) -> float:
+def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
+    """Measure of the box [low, high]; each bound may be an array, and the
+    result has their broadcast shape."""
+    K = e.max_hermite_degree
+    ints = [_hermite_interval(K, a, b) for a, b in zip(low, high)]
     total = 0.0
-    cache: Dict[Tuple[int, int], float] = {}
     for j, tab in e.hermite_coeffs.items():
         scale = e.n ** (-j / 2.0)
         for nu, c in tab.items():
             prod = 1.0
             for k, p in enumerate(nu):
-                key = (k, p)
-                if key not in cache:
-                    cache[key] = _interval_hermite_integral(p, low[k], high[k])
-                prod *= cache[key]
-                if prod == 0.0:
-                    break
-            total += scale * c * prod
-    return total
+                prod = prod * ints[k][p]
+            total = total + scale * c * prod
+    return np.asarray(total)
 
 
 def _monomial_ball_integral(mu: MultiIndex, r: float) -> float:
@@ -423,7 +398,7 @@ def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
         scale = e.n ** (-j / 2.0)
         for mu, c in mono.items():
             total += scale * c * _monomial_ball_integral(mu, r)
-    return total
+    return float(total)
 
 
 def _rotation_to_first_axis(a: np.ndarray) -> np.ndarray:
@@ -445,12 +420,11 @@ def _halfspace_measure(e: EdgeworthExpansion, normal, offset: float) -> float:
     a = np.asarray(normal, dtype=float)
     U = _rotation_to_first_axis(a)
     thresh = offset / np.linalg.norm(a)
-    d = e.dimension
+    ints = _hermite_interval(e.max_hermite_degree, -inf, thresh)
     total = 0.0
     for j, tab in e.hermite_coeffs.items():
         mono = hermite_table_to_monomial(tab)
         # substitute x = U y into the monomial table
-        from .cumulants import _series_substitute_linear
         rotated = _series_substitute_linear(mono, U,
                                             max_order=3 * max(j, 1) + 1)
         herm = monomial_table_to_hermite(rotated)
@@ -458,8 +432,8 @@ def _halfspace_measure(e: EdgeworthExpansion, normal, offset: float) -> float:
         for nu, c in herm.items():
             if any(p != 0 for p in nu[1:]):
                 continue   # full-line integral of He_p, p >= 1, vanishes
-            total += scale * c * _interval_hermite_integral(nu[0], -inf, thresh)
-    return total
+            total += scale * c * ints[nu[0]]
+    return float(total)
 
 
 def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",
@@ -478,7 +452,7 @@ def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",
                 raise ValueError("halfline regions require dimension 1")
             return MeasureResult(e.cdf_1d(A.threshold), 1e-14, True, method)
         if A.kind == "box":
-            return MeasureResult(_box_measure(e, A.low, A.high),
+            return MeasureResult(float(_box_measure(e, A.low, A.high)),
                                  1e-14, True, method)
         if A.kind == "ball":
             if all(c == 0 for c in A.center):
@@ -538,7 +512,7 @@ def gaussian_oscillation(A: SetSpec, eps: float, budget: int = 200_000,
     if eps <= 0:
         raise ValueError("eps must be > 0")
     rng = rng if rng is not None else np.random.default_rng(0)
-    d = d if d is not None else A.dimension_of(1)
+    d = d if d is not None else A.dimension
     z = rng.standard_normal((budget, d))
     shell = A.enlarged(eps).contains(z) & ~A.enlarged(-eps).contains(z)
     p = float(shell.mean())

@@ -8,9 +8,9 @@ exponentials/gammas are gammas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb, exp, factorial, sqrt
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from math import comb, factorial, sqrt
+from typing import Callable, Dict, Optional
 
 import numpy as np
 

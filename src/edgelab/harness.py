@@ -19,22 +19,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from .bootstrap import bootstrap_draws, child_rng, empirical_edgeworth
-from .expansion import EdgeworthExpansion, build_expansion
+from .expansion import build_expansion
 from .families import Family
 
 __all__ = [
     "StudyRecord",
     "StudyReport",
     "dkw_halfwidth",
+    "ecdf_on_grid",
     "exact_sum_cdf_mc",
     "rate_study",
     "uniform_sweep",
     "emit_report",
     "default_t_grid",
 ]
-
-VERSION = "0.1.0"
 
 
 def default_t_grid() -> np.ndarray:
@@ -75,7 +75,7 @@ class StudyReport:
     slopes: Dict[str, dict] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     config_hash: str = ""
-    version: str = VERSION
+    version: str = __version__
 
     def finalize(self):
         self.records.sort(key=StudyRecord.sort_key)
@@ -101,53 +101,48 @@ def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
     return slope, float("nan")
 
 
+def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
+    """Empirical CDF of samples at each grid point; sorts samples in place."""
+    samples.sort()
+    return np.searchsorted(samples, np.asarray(grid, dtype=float),
+                           side="right") / samples.size
+
+
 def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
                      rng: np.random.Generator, alpha: float = 0.01
                      ) -> Tuple[np.ndarray, float]:
     """Empirical CDF of the standardized sum on a grid, with its DKW band."""
-    sums = np.sort(family.sum_sample(n, M, rng))
-    cdf = np.searchsorted(sums, np.asarray(t_grid, dtype=float),
-                          side="right") / M
-    return cdf, dkw_halfwidth(M, alpha)
+    return (ecdf_on_grid(family.sum_sample(n, M, rng), t_grid),
+            dkw_halfwidth(M, alpha))
 
 
-def _analytic_cell(family: Family, n: int, rep: int, s_values, M, t_grid,
-                   seed: int) -> List[StudyRecord]:
-    rng = child_rng(seed, _family_key(family.name), 0, n, rep)
-    cdf, band = exact_sum_cdf_mc(family, n, M, t_grid, rng)
+def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
+          t_grid, seed: int) -> List[StudyRecord]:
+    """Sup deviations at one (n, rep) for each s: in analytic mode the
+    simulated sum against the analytic-cumulant expansion, in bootstrap
+    mode bootstrap draws against the empirical-cumulant expansion."""
+    key = (seed, _family_key(family.name))
+    if mode == "analytic":
+        cdf, band = exact_sum_cdf_mc(family, n, M, t_grid,
+                                     child_rng(*key, 0, n, rep))
+        cumulants = family.standardized_cumulants
+        metric = "sup_dev"
+    else:
+        data = family.sample(child_rng(*key, 1, n, rep), n)[:, None]
+        draw_seed = int(child_rng(*key, 2, n, rep).integers(0, 2 ** 63))
+        cdf = ecdf_on_grid(bootstrap_draws(data, B, seed=draw_seed)[:, 0],
+                           t_grid)
+        band = dkw_halfwidth(B)
+        cumulants = lambda s: empirical_edgeworth(data, s).cumulants
+        metric = "bootstrap_sup_dev"
     theta = json.dumps(family.theta, sort_keys=True)
     recs = []
     for s in s_values:
-        cums = family.standardized_cumulants(max(s, 2))
-        e = build_expansion(cums, n, s)
-        approx = np.array([e.cdf_1d(t) for t in t_grid])
-        value = float(np.max(np.abs(cdf - approx)))
+        e = build_expansion(cumulants(max(s, 2)), n, s)
+        value = float(np.max(np.abs(cdf - e.cdf_1d(t_grid))))
         flag = "inconclusive" if band >= value else ""
-        recs.append(StudyRecord(family.name, theta, n, rep, s, "sup_dev",
+        recs.append(StudyRecord(family.name, theta, n, rep, s, metric,
                                 value, band, flag, seed))
-    return recs
-
-
-def _bootstrap_cell(family: Family, n: int, rep: int, s_values, B, t_grid,
-                   seed: int) -> List[StudyRecord]:
-    rng = child_rng(seed, _family_key(family.name), 1, n, rep)
-    data = family.sample(rng, n)[:, None]
-    draw_seed = int(child_rng(seed, _family_key(family.name), 2, n, rep)
-                    .integers(0, 2 ** 63))
-    draws = bootstrap_draws(data, B, seed=draw_seed)[:, 0]
-    draws.sort()
-    cdf = np.searchsorted(draws, t_grid, side="right") / B
-    band = dkw_halfwidth(B)
-    theta = json.dumps(family.theta, sort_keys=True)
-    recs = []
-    for s in s_values:
-        e = empirical_edgeworth(data, max(s, 2))
-        e = build_expansion(e.cumulants, n, s)
-        approx = np.array([e.cdf_1d(t) for t in t_grid])
-        value = float(np.max(np.abs(cdf - approx)))
-        flag = "inconclusive" if band >= value else ""
-        recs.append(StudyRecord(family.name, theta, n, rep, s,
-                                "bootstrap_sup_dev", value, band, flag, seed))
     return recs
 
 
@@ -168,16 +163,12 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid)
     s_values = sorted({2, s})
     cells = [(n, rep) for n in n_grid for rep in range(reps)]
-    if mode == "analytic":
-        work = lambda cell: _analytic_cell(family, cell[0], cell[1],
-                                           s_values, M, t_grid, seed)
-    elif mode == "bootstrap":
-        if B is None:
-            raise ValueError("bootstrap mode needs a resampling budget B")
-        work = lambda cell: _bootstrap_cell(family, cell[0], cell[1],
-                                           s_values, B, t_grid, seed)
-    else:
+    if mode not in ("analytic", "bootstrap"):
         raise ValueError("mode must be 'analytic' or 'bootstrap'")
+    if mode == "bootstrap" and B is None:
+        raise ValueError("bootstrap mode needs a resampling budget B")
+    work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,
+                              t_grid, seed)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -264,7 +255,7 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
 
 def _moment_proxy(fam: Family, s: int, seed: int, idx: int,
                   pilot: int = 100_000) -> float:
-    """(1/n) sum E|X|^s proxy from analytic cumulants when cheap, else MC."""
+    """Monte Carlo estimate of E|Z|^s, Z the standardized family variable."""
     rng = child_rng(seed, _family_key(fam.name), 9, idx)
     draws = fam.sample(rng, pilot)
     z = (draws - fam.mean) / fam.sd

@@ -9,10 +9,10 @@ machine precision, without symbolic differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
 from typing import Dict, Tuple
 
-from .cumulants import MultiIndex, enumerate_multi_indices, multi_factorial
+from .cumulants import (MultiIndex, _series_compose, _series_mul,
+                        enumerate_multi_indices, multi_factorial)
 
 __all__ = ["Jet", "jet_variable", "jet_constant", "DerivativeJet"]
 
@@ -35,10 +35,7 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            out = dict(self.coeffs)
-            zero = (0,) * self.dimension
-            out[zero] = out.get(zero, 0.0) + other
-            return self._like(out)
+            other = jet_constant(other, self.dimension, self.order)
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0.0) + c
@@ -50,7 +47,7 @@ class Jet:
         return self._like({a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -58,14 +55,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self._like({a: c * other for a, c in self.coeffs.items()})
-        out: Dict[MultiIndex, float] = {}
-        for a1, c1 in self.coeffs.items():
-            for a2, c2 in other.coeffs.items():
-                if sum(a1) + sum(a2) > self.order:
-                    continue
-                a = tuple(x + y for x, y in zip(a1, a2))
-                out[a] = out.get(a, 0.0) + c1 * c2
-        return self._like(out)
+        return self._like(_series_mul(self.coeffs, other.coeffs, self.order))
 
     __rmul__ = __mul__
 
@@ -75,15 +65,13 @@ class Jet:
         if c0 <= 0 and not float(p).is_integer():
             raise ValueError("fractional power of a jet with nonpositive value")
         zero = (0,) * self.dimension
-        v = self._like({a: c / c0 for a, c in self.coeffs.items() if a != zero})
-        out = self._like({zero: 1.0})
-        power = v
-        binom = 1.0
+        v = {a: c / c0 for a, c in self.coeffs.items() if a != zero}
+        binom = [1.0]
         for k in range(1, self.order + 1):
-            binom *= (p - (k - 1)) / k
-            out = out + power * binom
-            power = power * v
-        return out * (c0 ** p)
+            binom.append(binom[-1] * ((p - (k - 1)) / k))
+        out = _series_compose(v, self.order, lambda k, c: c * binom[k],
+                              {zero: 1.0})
+        return self._like(out) * (c0 ** p)
 
     def derivative(self, alpha: MultiIndex) -> float:
         """D^alpha of the represented function at the base point."""

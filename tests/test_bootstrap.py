@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from edgelab.bootstrap import (Dataset, bootstrap_draws, child_rng,
-                               edgeworth_tstat_curve, edgeworth_tstat_measure,
-                               empirical_edgeworth, enlargement_deviation,
-                               event_checks, fhat_indicator, g_value_and_jet,
-                               sample_stats, sqrt_spd, sup_deviation,
-                               tstat_bootstrap, tstat_pushforward)
+                               edgeworth_tstat_curve, empirical_edgeworth,
+                               enlargement_deviation, event_checks,
+                               g_value_and_jet, sample_stats, sqrt_spd,
+                               sup_deviation, tstat_bootstrap,
+                               tstat_pushforward)
+from edgelab.cumulants import inv_sqrt_spd
 from edgelab.expansion import SetSpec
 
 
@@ -71,6 +72,51 @@ def test_bootstrap_draws_standardized():
     cov = np.cov(draws.T, bias=True)
     assert np.all(np.abs(mean) < 0.01)
     assert np.allclose(cov, np.eye(2), atol=0.02)
+
+
+# Two full chunks of 16384 resamples plus a partial third one.
+_GUARD_B = 2 * 16384 + 5
+
+
+def _per_chunk_loop(values, B, seed, reduce):
+    """Reference copy of the chunked resampling loop: chunk ci of at most
+    16384 resamples draws its indices from child_rng(seed, ci)."""
+    n = values.shape[0]
+    out = []
+    for ci, lo in enumerate(range(0, B, 16384)):
+        m = min(16384, B - lo)
+        idx = child_rng(seed, ci).integers(0, n, size=(m, n))
+        out.append(reduce(values[idx]))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bootstrap_draws_match_per_chunk_reference(d):
+    pts = skewed_sample(40, seed=21, d=d)
+    st = sample_stats(pts, 2)
+    A = inv_sqrt_spd(st.cov)
+    ref = _per_chunk_loop(
+        pts, _GUARD_B, 9,
+        lambda res: np.sqrt(40) * (res.mean(axis=1) - st.mean) @ A.T)
+    got = bootstrap_draws(pts, _GUARD_B, seed=9)
+    assert got.shape == (_GUARD_B, d)
+    assert np.array_equal(got, ref)
+
+
+def test_tstat_bootstrap_matches_per_chunk_reference():
+    w = np.random.default_rng(22).exponential(size=4)  # some degenerate
+    wbar = w.mean()
+
+    def studentize(res):
+        mb = res.mean(axis=1)
+        s2 = (res * res).mean(axis=1) - mb * mb
+        ok = s2 > 0
+        return np.sqrt(4) * (mb[ok] - wbar) / np.sqrt(s2[ok])
+
+    ref = _per_chunk_loop(w, _GUARD_B, 10, studentize)
+    got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10)
+    assert np.array_equal(got, ref)
+    assert degenerate == _GUARD_B - ref.size > 0
 
 
 def test_bootstrap_draws_rejects_degenerate_data():
@@ -158,17 +204,16 @@ def test_tstat_pushforward_validity():
 
 
 def test_fhat_indicator_monotone_in_t():
+    # the indicator 1{pushforward(x) <= t}, with invalid points counting 0
     w = skewed_sample(150, seed=13)[:, 0]
     data = np.stack([w, w * w], axis=1)
     st = sample_stats(data, 2)
-    counter = [0]
-    x = np.array([0.3, 0.1])
-    vals = [fhat_indicator(t, x, st, w.mean(), 150, counter)
-            for t in (-3.0, 0.0, 3.0)]
+    x = np.array([[0.3, 0.1], [0.0, -50.0]])
+    u, valid = tstat_pushforward(x, st, w.mean(), 150)
+    vals = [int(valid[0] and u[0] <= t) for t in (-3.0, 0.0, 3.0)]
     assert vals == sorted(vals)
-    bad = np.array([0.0, -50.0])
-    assert fhat_indicator(0.0, bad, st, w.mean(), 150, counter) == 0
-    assert counter[0] == 1
+    assert int(valid[1] and u[1] <= 0.0) == 0
+    assert int(np.sum(~valid)) == 1
 
 
 def test_tstat_curve_consistent_with_pointwise():
@@ -180,9 +225,9 @@ def test_tstat_curve_consistent_with_pointwise():
     grid = np.array([-1.0, 0.0, 1.5])
     vals, ses, sing = edgeworth_tstat_curve(grid, e, st, w.mean(), 300,
                                             100_000, child_rng(rng_state))
-    v0, s0 = edgeworth_tstat_measure(0.0, e, st, w.mean(), 300, 100_000,
-                                     child_rng(rng_state))
-    assert vals[1] == pytest.approx(v0, abs=1e-12)
+    v0, s0, _ = edgeworth_tstat_curve(np.array([0.0]), e, st, w.mean(), 300,
+                                      100_000, child_rng(rng_state))
+    assert vals[1] == pytest.approx(v0[0], abs=1e-12)
     assert np.all(np.diff(vals) > 0)        # CDF-like on this grid
     assert np.all(ses > 0)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -80,6 +81,11 @@ def test_bootstrap_compare_custom_sets(tmp_path, capsys):
     assert rc == 0
     lines = (out / "bootstrap_compare.csv").read_text().splitlines()
     assert len(lines) == 3
+    for row in csv.reader(lines[1:]):
+        for cell in row[1:]:        # every cell after set_id is a number
+            float(cell)
+    summary = json.loads((out / "bootstrap_compare.json").read_text())
+    assert "degenerate_draws" not in summary
 
 
 def test_tstat_study_outputs(tmp_path):
@@ -163,3 +169,13 @@ def test_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\nc,d\n")
     assert main(["cf-scan", "--data", str(bad)]) == 1
+
+
+def test_non_finite_data_is_rejected(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("0.1,0.2\n0.5,nan\n0.9,1.1\n")
+    for command in ("cf-scan", "certify"):
+        assert main([command, "--data", str(path), "--Tmax", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: all coordinates must be finite" in captured.err

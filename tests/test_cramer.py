@@ -23,6 +23,13 @@ def test_handle_requires_exactly_one_source():
         CharFunctionHandle(1, points=np.zeros((3, 1)), cf=lambda T: T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_handle_rejects_non_finite_points(bad):
+    pts = np.array([[0.5, 0.1], [0.2, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        CharFunctionHandle.from_points(pts)
+
+
 def test_empirical_cf_at_zero_is_one():
     rng = np.random.default_rng(0)
     h = CharFunctionHandle.from_points(rng.normal(size=(40, 2)))

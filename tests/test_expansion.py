@@ -4,6 +4,7 @@ from math import sqrt, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -196,6 +197,54 @@ def test_box_vs_halfline_1d():
     box = set_measure(e, SetSpec.box([a], [b])).value
     diff = e.cdf_1d(b) - e.cdf_1d(a)
     assert box == pytest.approx(diff, abs=1e-13)
+    # the same on arrays of endpoints, infinite ones included
+    a = np.array([-np.inf, -np.inf, -2.5, 0.0, 1.2, -np.inf])
+    b = np.array([np.inf, 0.4, -1.0, 0.0, np.inf, -np.inf])
+    box = [set_measure(e, SetSpec.box([lo], [hi])).value
+           for lo, hi in zip(a, b)]
+    assert np.allclose(box, e.cdf_1d(b) - e.cdf_1d(a), rtol=0, atol=1e-13)
+    # a half-line box is the CDF itself, bit for bit
+    t = np.linspace(-6, 6, 25)
+    assert np.array_equal(
+        [set_measure(e, SetSpec.box([-np.inf], [v])).value for v in t],
+        e.cdf_1d(t))
+
+
+def _cdf_reference(e, t):
+    """The expansion CDF by numpy.polynomial.hermite_e: per correction
+    order j, c_0 Phi(t) - phi(t) sum_{k>=1} c_k He_{k-1}(t)."""
+    t = np.asarray(t, dtype=float)
+    fin = np.isfinite(t)
+    tf = np.where(fin, t, 0.0)
+    phi = np.where(fin, norm.pdf(tf), 0.0)
+    out = np.zeros_like(t)
+    for j, tab in e.hermite_coeffs.items():
+        coef = np.zeros(max((k for (k,) in tab), default=0) + 2)
+        for (k,), c in tab.items():
+            coef[k] = c
+        tail = np.polynomial.hermite_e.hermeval(tf, coef[1:])
+        out += e.n ** (-j / 2.0) * (coef[0] * norm.cdf(t) - tail * phi)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6),
+       st.integers(min_value=5, max_value=500),
+       st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=4,
+                max_size=4),
+       st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=1,
+                max_size=30))
+def test_cdf_1d_matches_hermite_e_reference(s, n, kappas, ts):
+    table = {(1,): 0.0, (2,): 1.0}
+    for r in range(3, s + 1):
+        table[(r,)] = kappas[r - 3]
+    e = build_expansion(CumulantSet(1, s, table, standardized=True), n, s)
+    grid = np.array(ts + [-np.inf, np.inf])
+    got = e.cdf_1d(grid)
+    assert got.shape == grid.shape
+    assert got[-2] == 0.0 and got[-1] == 1.0
+    assert np.allclose(got, _cdf_reference(e, grid), rtol=0, atol=1e-13)
+    assert e.cdf_1d(ts[0]) == got[0]
 
 
 def test_ball_vs_box_1d():
