@@ -14,7 +14,7 @@ from .expansion import (EdgeworthExpansion, SetSpec, build_expansion,
 from .cramer import (CharFunctionHandle, CramerCertificate, c_kr_estimate,
                      c_r_lower_bound, eval_cf, failure_prob_bound,
                      mean_weak_cramer_scan, ustat_certificate,
-                     weak_cramer_scan, xi_wrap)
+                     weak_cramer_scan)
 from .bootstrap import (Dataset, EventFlags, SampleStats, bootstrap_draws,
                         empirical_edgeworth, enlargement_deviation,
                         event_checks, g_value_and_jet, sample_stats,

@@ -10,8 +10,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cumulants import (CumulantSet, inv_sqrt_spd, moments_to_cumulants,
-                        raw_moments_from_points)
+from .cumulants import (CumulantSet, as_points, inv_sqrt_spd,
+                        moments_to_cumulants, raw_moments_from_points)
 from .expansion import EdgeworthExpansion, SetSpec, build_expansion
 from .jets import DerivativeJet, jet_variable
 
@@ -51,11 +51,7 @@ class Dataset:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be a nonempty (n, d) array")
+        pts = as_points(self.points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
         object.__setattr__(self, "points", pts)
@@ -70,10 +66,7 @@ class Dataset:
 
 
 def _as_points(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.points
-    pts = np.asarray(data, dtype=float)
-    return pts[:, None] if pts.ndim == 1 else pts
+    return data.points if isinstance(data, Dataset) else as_points(data)
 
 
 @dataclass(frozen=True)

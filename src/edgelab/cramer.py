@@ -16,13 +16,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .cumulants import as_points
+
 __all__ = [
     "CharFunctionHandle",
     "CramerCertificate",
     "eval_cf",
     "weak_cramer_scan",
     "mean_weak_cramer_scan",
-    "xi_wrap",
     "ustat_certificate",
     "c_kr_estimate",
     "c_r_lower_bound",
@@ -35,8 +36,8 @@ __all__ = [
 class CharFunctionHandle:
     """Characteristic function of an empirical or analytic law.
 
-    Exactly one of ``points`` (an (n, d) array, the empirical measure with
-    uniform weights) or ``cf`` (a callable mapping an (m, d) array of
+    Exactly one of ``points`` (an (n, d) array, or a 1-d array of n points
+    in R^1: the empirical measure with uniform weights) or ``cf`` (a callable mapping an (m, d) array of
     frequencies to complex values) must be given.
     """
 
@@ -48,7 +49,7 @@ class CharFunctionHandle:
         if (self.points is None) == (self.cf is None):
             raise ValueError("give exactly one of points= or cf=")
         if self.points is not None:
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+            pts = as_points(self.points)
             if pts.shape[1] != self.dimension:
                 raise ValueError("points have dimension %d, expected %d"
                                  % (pts.shape[1], self.dimension))
@@ -58,7 +59,7 @@ class CharFunctionHandle:
 
     @staticmethod
     def from_points(points) -> "CharFunctionHandle":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = as_points(points)
         return CharFunctionHandle(pts.shape[1], points=pts)
 
     def values(self, T: np.ndarray) -> np.ndarray:
@@ -239,15 +240,6 @@ def mean_weak_cramer_scan(hs: Sequence[CharFunctionHandle], b: float,
 # ---------------------------------------------------------------------------
 # pairwise wrapped-square certificates
 
-def xi_wrap(u_i, u_j, t) -> float:
-    """Squared distance of t'(u_i - u_j) to the nearest multiple of 2 pi."""
-    u_i = np.atleast_1d(np.asarray(u_i, dtype=float))
-    u_j = np.atleast_1d(np.asarray(u_j, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    w = float(t @ (u_i - u_j))
-    return _wrap_sq(np.array([w]))[0]
-
-
 def _wrap_sq(w: np.ndarray) -> np.ndarray:
     """Elementwise inf over integers q of (w - 2 pi q)^2; ties go to +pi."""
     y = w - 2 * math.pi * np.ceil(w / (2 * math.pi) - 0.5)
@@ -269,7 +261,7 @@ def ustat_certificate(points, t, b: float, R: float) -> Tuple[float, dict]:
     Returns S(t) and a record asserting the inequality, plus the implied
     weak Cramer margin S(t) ||t||^b for the scanned frequency.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -298,7 +290,7 @@ def c_kr_estimate(points, k: int, r: float, coord: int = 0) -> float:
     """
     if r <= 0:
         raise ValueError("r must be > 0")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -317,7 +309,7 @@ def c_r_lower_bound(points, R: float, t_grid) -> Tuple[float, np.ndarray]:
     Returns (value, maximizing grid point); value estimates the constant
     entering the failure probability bound.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_points(points)
     if pts.shape[0] < 2:
         raise ValueError("need at least 2 points")
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))

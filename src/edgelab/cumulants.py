@@ -24,6 +24,7 @@ __all__ = [
     "MomentSet",
     "CumulantSet",
     "Polynomial",
+    "as_points",
     "raw_moments_from_points",
     "raw_moments_from_function",
     "moments_to_cumulants",
@@ -246,13 +247,19 @@ def _series_substitute_linear(a: Dict[MultiIndex, object], B: np.ndarray,
 # ---------------------------------------------------------------------------
 # moment sources
 
-def raw_moments_from_points(points: np.ndarray, max_order: int) -> MomentSet:
-    """Empirical raw moments (1/n) sum_i X_i^nu of a point cloud (n, d)."""
+def as_points(points) -> np.ndarray:
+    """A nonempty float (n, d) point array; a 1-d array is n points in R^1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, d) array")
+    return pts
+
+
+def raw_moments_from_points(points: np.ndarray, max_order: int) -> MomentSet:
+    """Empirical raw moments (1/n) sum_i X_i^nu of a point cloud (n, d)."""
+    pts = as_points(points)
     n, d = pts.shape
     table = {}
     for nu in enumerate_multi_indices(d, max_order):

@@ -16,8 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn, ndtr
 
-from .cumulants import (CumulantSet, MultiIndex, Polynomial,
-                        _series_substitute_linear, chi_poly)
+from .cumulants import CumulantSet, MultiIndex, Polynomial, chi_poly
 
 __all__ = [
     "pj_polynomial",
@@ -64,22 +63,20 @@ def hermite_tensor(nu: MultiIndex, x) -> float:
     return float(val)
 
 
-def _basis_1d(k: int, sign: int) -> Dict[int, float]:
-    """He_k in the monomial basis (sign -1), or x^k in the Hermite basis
-    (sign +1): the two tables differ only in the sign of the 2m-step."""
-    return {k - 2 * m: (sign ** m * factorial(k)
+def _basis_1d(k: int) -> Dict[int, float]:
+    """He_k in the monomial basis."""
+    return {k - 2 * m: ((-1) ** m * factorial(k)
                         / (factorial(m) * 2 ** m * factorial(k - 2 * m)))
             for m in range(k // 2 + 1)}
 
 
-def _basis_change(coeffs: Dict[MultiIndex, float], sign: int
-                  ) -> Dict[MultiIndex, float]:
-    """Apply the per-coordinate 1-d basis conversion to a tensor table."""
+def _basis_change(coeffs: Dict[MultiIndex, float]) -> Dict[MultiIndex, float]:
+    """A tensor Hermite table rewritten in the monomial basis."""
     out: Dict[MultiIndex, float] = {}
     for nu, c in coeffs.items():
         partial = {(): c}
         for p in nu:
-            table = _basis_1d(p, sign)
+            table = _basis_1d(p)
             nxt: Dict[Tuple[int, ...], float] = {}
             for prefix, cp in partial.items():
                 for q, cq in table.items():
@@ -91,12 +88,19 @@ def _basis_change(coeffs: Dict[MultiIndex, float], sign: int
     return {nu: c for nu, c in out.items() if c != 0.0}
 
 
-def hermite_table_to_monomial(coeffs: Dict[MultiIndex, float]) -> Dict[MultiIndex, float]:
-    return _basis_change(coeffs, -1)
-
-
-def monomial_table_to_hermite(coeffs: Dict[MultiIndex, float]) -> Dict[MultiIndex, float]:
-    return _basis_change(coeffs, 1)
+def _contract(tables: Dict[int, Dict[MultiIndex, float]], n: int, cols):
+    """Sum over j of n^{-j/2} sum_nu c_nu prod_k cols[k][nu_k], where
+    cols[k][p] holds He_p values (or integrals) on axis k; the result has
+    the shape of one cols[k][p]."""
+    total = 0.0
+    for j, tab in tables.items():
+        scale = n ** (-j / 2.0)
+        for nu, c in tab.items():
+            prod = 1.0
+            for k, p in enumerate(nu):
+                prod = prod * cols[k][p]
+            total = total + scale * c * prod
+    return np.asarray(total)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +164,9 @@ class EdgeworthExpansion:
         """Signed density divided by the Gaussian density, at points (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         K = self.max_hermite_degree
-        he = np.stack([_hermite_column(K, x[:, k])
-                       for k in range(self.dimension)])  # (d, K+1, m)
-        out = np.zeros(x.shape[0])
-        for j, tab in self.hermite_coeffs.items():
-            scale = self.n ** (-j / 2.0)
-            for nu, c in tab.items():
-                term = np.full(x.shape[0], c)
-                for k, p in enumerate(nu):
-                    term = term * he[k, p]
-                out += scale * term
-        return out
+        return _contract(self.hermite_coeffs, self.n,
+                         [_hermite_column(K, x[:, k])
+                          for k in range(self.dimension)])
 
     def density(self, x) -> float:
         """Signed density at a single point (may be negative)."""
@@ -258,6 +254,8 @@ class SetSpec:
                 raise ValueError("box bounds must satisfy low <= high")
         if self.kind == "ball" and self.radius < 0:
             raise ValueError("ball radius must be >= 0")
+        if self.kind == "halfspace" and not any(self.normal):
+            raise ValueError("half-space normal must be nonzero")
 
     @staticmethod
     def halfline(t: float) -> "SetSpec":
@@ -348,10 +346,13 @@ def _hermite_interval(K: int, a, b) -> np.ndarray:
                                np.asarray(b, dtype=float))
 
     def tail(t):
-        finite = np.isfinite(t)
-        t = np.where(finite, t, 0.0)
-        gauss = np.where(finite, np.exp(-0.5 * t * t), 0.0)
-        return _hermite_column(K - 1, t) * gauss / sqrt(2 * pi)
+        # phi is 0 for |t| > 38.6 and at +-inf; He is evaluated at 0 there,
+        # so that a huge endpoint does not give inf * 0
+        with np.errstate(over="ignore"):
+            gauss = np.exp(-0.5 * t * t)
+        live = gauss > 0.0
+        return (_hermite_column(K - 1, np.where(live, t, 0.0))
+                * np.where(live, gauss, 0.0) / sqrt(2 * pi))
 
     out = np.empty((K + 1,) + a.shape)
     out[0] = ndtr(b) - ndtr(a)
@@ -364,16 +365,8 @@ def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
     """Measure of the box [low, high]; each bound may be an array, and the
     result has their broadcast shape."""
     K = e.max_hermite_degree
-    ints = [_hermite_interval(K, a, b) for a, b in zip(low, high)]
-    total = 0.0
-    for j, tab in e.hermite_coeffs.items():
-        scale = e.n ** (-j / 2.0)
-        for nu, c in tab.items():
-            prod = 1.0
-            for k, p in enumerate(nu):
-                prod = prod * ints[k][p]
-            total = total + scale * c * prod
-    return np.asarray(total)
+    return _contract(e.hermite_coeffs, e.n,
+                     [_hermite_interval(K, a, b) for a, b in zip(low, high)])
 
 
 def _monomial_ball_integral(mu: MultiIndex, r: float) -> float:
@@ -394,46 +387,30 @@ def _monomial_ball_integral(mu: MultiIndex, r: float) -> float:
 def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
     total = 0.0
     for j, tab in e.hermite_coeffs.items():
-        mono = hermite_table_to_monomial(tab)
+        mono = _basis_change(tab)
         scale = e.n ** (-j / 2.0)
         for mu, c in mono.items():
             total += scale * c * _monomial_ball_integral(mu, r)
     return float(total)
 
 
-def _rotation_to_first_axis(a: np.ndarray) -> np.ndarray:
-    """Orthogonal U whose first column is a/||a|| (so x = U y aligns y1 with a)."""
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        raise ValueError("half-space normal must be nonzero")
-    d = a.size
-    M = np.eye(d)
-    M[:, 0] = a / norm
-    Q, R = np.linalg.qr(M)
-    if R[0, 0] < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
 def _halfspace_measure(e: EdgeworthExpansion, normal, offset: float) -> float:
+    """Measure of {a'x <= offset}.  He_nu(x) phi(x) = (-D)^nu phi(x), so
+    the law of y = u'x with u = a/||a|| carries u^nu He_|nu|(y) phi(y): the
+    half-space is the half-line y <= offset/||a|| of the projected 1-d table
+    {(m,): sum over |nu| = m of c_nu u^nu}."""
     a = np.asarray(normal, dtype=float)
-    U = _rotation_to_first_axis(a)
-    thresh = offset / np.linalg.norm(a)
-    ints = _hermite_interval(e.max_hermite_degree, -inf, thresh)
-    total = 0.0
+    norm = float(np.linalg.norm(a))
+    u = a / norm
+    projected: Dict[int, Dict[MultiIndex, float]] = {}
     for j, tab in e.hermite_coeffs.items():
-        mono = hermite_table_to_monomial(tab)
-        # substitute x = U y into the monomial table
-        rotated = _series_substitute_linear(mono, U,
-                                            max_order=3 * max(j, 1) + 1)
-        herm = monomial_table_to_hermite(rotated)
-        scale = e.n ** (-j / 2.0)
-        for nu, c in herm.items():
-            if any(p != 0 for p in nu[1:]):
-                continue   # full-line integral of He_p, p >= 1, vanishes
-            total += scale * c * ints[nu[0]]
-    return float(total)
+        proj: Dict[MultiIndex, float] = {}
+        for nu, c in tab.items():
+            key = (sum(nu),)
+            proj[key] = proj.get(key, 0.0) + c * float(np.prod(u ** nu))
+        projected[j] = proj
+    ints = _hermite_interval(e.max_hermite_degree, -inf, offset / norm)
+    return float(_contract(projected, e.n, [ints]))
 
 
 def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",

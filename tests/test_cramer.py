@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from edgelab.cramer import (CharFunctionHandle, c_kr_estimate,
+from edgelab.cramer import (CharFunctionHandle, _wrap_sq, c_kr_estimate,
                             c_r_lower_bound, eval_cf, failure_prob_bound,
                             mean_weak_cramer_scan, scan_grid,
-                            ustat_certificate, weak_cramer_scan, xi_wrap)
+                            ustat_certificate, weak_cramer_scan)
 
 
 def gaussian_handle(d=1):
@@ -28,6 +28,17 @@ def test_handle_rejects_non_finite_points(bad):
     pts = np.array([[0.5, 0.1], [0.2, bad]])
     with pytest.raises(ValueError, match="finite"):
         CharFunctionHandle.from_points(pts)
+
+
+def test_one_dimensional_array_is_points_on_the_line():
+    vals = np.array([0.1, 0.5, 0.9])
+    h = CharFunctionHandle.from_points(vals)
+    assert h.dimension == 1 and h.points.shape == (3, 1)
+    S_flat, _ = ustat_certificate(vals, [2.0], b=1.0, R=1.0)
+    S_col, _ = ustat_certificate(vals[:, None], [2.0], b=1.0, R=1.0)
+    assert S_flat == S_col
+    assert c_kr_estimate(vals, k=0, r=0.5) == c_kr_estimate(vals[:, None],
+                                                            k=0, r=0.5)
 
 
 def test_empirical_cf_at_zero_is_one():
@@ -131,14 +142,15 @@ def test_xi_wrap_range_and_exactness():
     rng = np.random.default_rng(3)
     for _ in range(200):
         w = rng.uniform(-40, 40)
-        xi = xi_wrap([w], [0.0], [1.0])
+        xi = _wrap_sq(np.array([w]))[0]
         brute = min((w - 2 * math.pi * q) ** 2 for q in range(-10, 11))
         assert 0.0 <= xi <= math.pi ** 2 + 1e-12
         assert xi == pytest.approx(brute, abs=1e-10)
 
 
 def test_xi_wrap_at_multiples_is_zero():
-    assert xi_wrap([4 * math.pi], [0.0], [1.0]) == pytest.approx(0.0, abs=1e-20)
+    assert _wrap_sq(np.array([4 * math.pi]))[0] == pytest.approx(0.0,
+                                                              abs=1e-20)
 
 
 def test_ustat_soundness_random():

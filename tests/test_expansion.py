@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import sqrt, pi
+from math import factorial, sqrt, pi
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from edgelab.cumulants import CumulantSet, enumerate_multi_indices
+from edgelab.cumulants import (CumulantSet, enumerate_multi_indices,
+                               multi_factorial)
 from edgelab.expansion import (EdgeworthExpansion, SetSpec, build_expansion,
                                default_probe_grid, gaussian_oscillation,
                                hermite_tensor, hermite_value, m_s_norm,
@@ -163,6 +164,9 @@ def test_cdf_limits():
     assert e.cdf_1d(float("inf")) == 1.0
     assert e.cdf_1d(float("-inf")) == 0.0
     assert e.cdf_1d(12.0) == pytest.approx(1.0, abs=1e-8)
+    # huge finite endpoints: phi underflows before He_k overflows
+    assert np.array_equal(e.cdf_1d(np.array([1e200, -1e200, 1e30])),
+                          [1.0, 0.0, 1.0])
 
 
 def test_total_mass_is_one():
@@ -179,6 +183,20 @@ def test_skewness_shifts_mass_correctly():
     e = build_expansion(CumulantSet(1, 3, table, standardized=True), 50, 3)
     # He_2(-2) > 0, so the skewness term subtracts mass at t = -2
     assert e.cdf_1d(-2.0) < norm.cdf(-2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=5, max_value=500),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_weight_matches_pointwise_hermite_sum(d, s, n, seed):
+    rng = np.random.default_rng(seed)
+    e = build_expansion(standardized_cumulants(d, max(s, 3), rng), n, s)
+    x = rng.uniform(-3, 3, size=(7, d))
+    ref = [sum(n ** (-j / 2.0) * c * hermite_tensor(nu, p)
+               for j, tab in e.hermite_coeffs.items()
+               for nu, c in tab.items()) for p in x]
+    assert np.allclose(e.weight(x), ref, rtol=1e-12, atol=1e-12)
 
 
 def test_weight_reduces_to_one_for_gaussian():
@@ -265,6 +283,33 @@ def test_halfspace_axis_aligned_matches_box():
     assert hs == pytest.approx(box, abs=1e-11)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=3, max_value=6),
+       st.integers(min_value=5, max_value=500),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3,
+                max_size=3).filter(lambda a: np.linalg.norm(a[:2]) > 0.1),
+       st.floats(min_value=-4.0, max_value=4.0))
+def test_halfspace_is_cdf_of_projected_cumulants(d, s, n, seed, a, offset):
+    """The half-space {a'x <= offset} has the measure of the half-line
+    y <= offset/||a|| under the 1-d expansion built from the cumulants of
+    y = u'x: kappa_m(u'X) = sum over |nu| = m of m!/nu! u^nu kappa_nu."""
+    rng = np.random.default_rng(seed)
+    c = standardized_cumulants(d, s, rng)
+    a = np.array(a[:d])
+    u = a / np.linalg.norm(a)
+    table = {(m,): 0.0 for m in range(1, s + 1)}
+    for nu, k in c.table.items():
+        m = sum(nu)
+        table[(m,)] += (factorial(m) / multi_factorial(nu)
+                        * float(np.prod(u ** np.array(nu))) * k)
+    e1 = build_expansion(CumulantSet(1, s, table, standardized=True), n, s)
+    got = set_measure(build_expansion(c, n, s),
+                      SetSpec.halfspace(a, offset)).value
+    assert got == pytest.approx(e1.cdf_1d(offset / np.linalg.norm(a)),
+                                abs=1e-12)
+
+
 @pytest.mark.parametrize("make_set", [
     lambda: SetSpec.box([-1.0, -0.5], [0.7, 1.4]),
     lambda: SetSpec.ball([0.0, 0.0], 1.2),
@@ -299,6 +344,8 @@ def test_set_spec_validation():
         SetSpec.ball([0.0], -1.0)
     with pytest.raises(ValueError):
         SetSpec("wedge")
+    with pytest.raises(ValueError, match="normal"):
+        SetSpec.halfspace([0.0, 0.0], 1.0)
 
 
 def test_enlarged_sets():
