@@ -3,7 +3,7 @@ and bootstrap rate studies."""
 
 __version__ = "0.1.0"
 
-from .cumulants import (CumulantSet, MomentSet, Polynomial,
+from .cumulants import (CumulantSet, MomentSet,
                         averaged_standardized_cumulants, chi_poly,
                         cumulants_to_moments, enumerate_multi_indices,
                         moments_to_cumulants, raw_moments_from_function,

@@ -10,10 +10,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cumulants import (CumulantSet, as_points, inv_sqrt_spd,
-                        moments_to_cumulants, raw_moments_from_points)
+from .cumulants import (CumulantSet, MultiIndex, as_points,
+                        enumerate_multi_indices, inv_sqrt_spd,
+                        moments_to_cumulants, multi_factorial,
+                        raw_moments_from_points)
 from .expansion import EdgeworthExpansion, SetSpec, build_expansion
-from .jets import DerivativeJet, jet_variable
+from .jets import series_mul, series_pow
 
 __all__ = [
     "Dataset",
@@ -205,7 +207,7 @@ def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
         if pts.shape[1] != 2:
             raise ValueError("the jet event is defined for d = 2 data")
         jet = g_value_and_jet(stats.mean, wbar, order=s + 3)
-        jet_max = jet.max_abs()
+        jet_max = max(abs(v) for v in jet.values())
         e3 = (jet_max <= c3) and (stats.lam_max <= c3)
         thresholds["c3"] = c3
     return EventFlags(e0=bool(e0), e1=bool(e1), e2=bool(e2),
@@ -213,18 +215,23 @@ def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
                       stats=stats, jet_max=jet_max, thresholds=thresholds)
 
 
-def g_value_and_jet(xbar, wbar: float, order: int) -> DerivativeJet:
-    """Partials of (x1 - wbar) / sqrt(x2 - x1^2) at xbar, to the given order."""
+def g_value_and_jet(xbar, wbar: float,
+                    order: int) -> Dict[MultiIndex, float]:
+    """Partials {alpha: D^alpha g} at xbar of g(x) = (x1 - wbar) /
+    sqrt(x2 - x1^2), for every |alpha| <= order."""
     xbar = np.asarray(xbar, dtype=float)
     if xbar.shape != (2,):
         raise ValueError("base point must lie in R^2")
-    var = xbar[1] - xbar[0] ** 2
-    if var <= 0:
+    x1, x2 = float(xbar[0]), float(xbar[1])
+    if x2 - x1 * x1 <= 0:
         raise ValueError("nonpositive variance at base point (x2 <= x1^2)")
-    x1 = jet_variable(0, xbar[0], 2, order)
-    x2 = jet_variable(1, xbar[1], 2, order)
-    g = (x1 - wbar) * (x2 - x1 * x1) ** (-0.5)
-    return DerivativeJet.from_jet(g, xbar)
+    # x2 - x1^2 and x1 - wbar as series in the displacement h from xbar
+    var = {(0, 0): x2 - x1 * x1, (1, 0): -2.0 * x1, (0, 1): 1.0,
+           (2, 0): -1.0}
+    g = series_mul({(0, 0): x1 - wbar, (1, 0): 1.0},
+                   series_pow(var, -0.5, order), order)
+    return {alpha: g.get(alpha, 0.0) * multi_factorial(alpha)
+            for alpha in enumerate_multi_indices(2, order)}
 
 
 def tstat_bootstrap(W, B: int, seed: int = 0,

@@ -46,6 +46,10 @@ def _load_points(path: str) -> np.ndarray:
     return bl.Dataset(rows).points
 
 
+def _reject_constant(name: str):
+    raise ValueError("the config holds %s: numbers must be finite" % name)
+
+
 def _set_from_json(obj: dict) -> SetSpec:
     kind = obj["kind"]
     if kind == "halfline":
@@ -81,7 +85,7 @@ def cmd_cf_scan(args) -> int:
     if args.cR is not None:
         payload["prob_bound"] = cramer.failure_prob_bound(args.cR,
                                                           pts.shape[0])
-    json.dump(payload, sys.stdout, indent=1)
+    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -92,7 +96,8 @@ def cmd_certify(args) -> int:
     S, record = cramer.ustat_certificate(pts, np.asarray(cert.witness),
                                          args.b, args.R)
     cert.S_value = S
-    if args.c is not None and record["implied_margin"] >= args.c:
+    if (cert.status == "certified-on-grid" and args.c is not None
+            and record["implied_margin"] >= args.c):
         cert.status = "certified-by-ustat"
     cR = args.cR
     if cR is None:
@@ -103,7 +108,7 @@ def cmd_certify(args) -> int:
     payload = cert.to_json_dict()
     payload["ustat_record"] = record
     payload["c_R"] = cR
-    json.dump(payload, sys.stdout, indent=1)
+    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -156,9 +161,9 @@ def cmd_bootstrap_compare(args) -> int:
     }
     json_path = os.path.join(out_dir, "bootstrap_compare.json")
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=1)
+        json.dump(summary, fh, indent=1, allow_nan=False)
         fh.write("\n")
-    print(json.dumps(summary, indent=1))
+    print(json.dumps(summary, indent=1, allow_nan=False))
     return 0
 
 
@@ -192,9 +197,9 @@ def cmd_tstat_study(args) -> int:
     }
     json_path = os.path.join(out_dir, "tstat_study.json")
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=1)
+        json.dump(summary, fh, indent=1, allow_nan=False)
         fh.write("\n")
-    print(json.dumps(summary, indent=1))
+    print(json.dumps(summary, indent=1, allow_nan=False))
     return 0
 
 
@@ -207,7 +212,7 @@ def _report_exit(report: StudyReport) -> int:
 
 def cmd_rate_study(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_reject_constant)
     fam = make_family(cfg["family"], **cfg.get("theta", {}))
     report = rate_study(fam, s=cfg.get("s", 3), n_grid=cfg["n_grid"],
                         M=cfg.get("M", 1_000_000), seed=cfg.get("seed", 0),
@@ -217,13 +222,13 @@ def cmd_rate_study(args) -> int:
     out_dir = _out_dir(cfg.get("out"))
     emit_report(report, "csv", os.path.join(out_dir, "rate_study.csv"))
     emit_report(report, "json", os.path.join(out_dir, "rate_study.json"))
-    print(json.dumps(report.slopes, indent=1))
+    print(json.dumps(report.json_slopes(), indent=1, allow_nan=False))
     return _report_exit(report)
 
 
 def cmd_uniform_sweep(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_reject_constant)
     fams = [make_family(f["name"], **f.get("theta", {}))
             for f in cfg["families"]]
     report = uniform_sweep(fams, s=cfg.get("s", 3), n_grid=cfg["n_grid"],
@@ -236,7 +241,7 @@ def cmd_uniform_sweep(args) -> int:
     out_dir = _out_dir(cfg.get("out"))
     emit_report(report, "csv", os.path.join(out_dir, "uniform_sweep.csv"))
     emit_report(report, "json", os.path.join(out_dir, "uniform_sweep.json"))
-    print(json.dumps(report.slopes, indent=1))
+    print(json.dumps(report.json_slopes(), indent=1, allow_nan=False))
     return _report_exit(report)
 
 
@@ -248,7 +253,7 @@ def cmd_expand(args) -> int:
         fam = make_family(args.family)
         cums = fam.standardized_cumulants(args.s)
         e = build_expansion(cums, args.n, args.s)
-    json.dump(e.to_json_dict(), sys.stdout, indent=1)
+    json.dump(e.to_json_dict(), sys.stdout, indent=1, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 

@@ -87,10 +87,11 @@ def eval_cf(h: CharFunctionHandle, t) -> complex:
 @dataclass
 class CramerCertificate:
     b: float
-    c: float                  # certified margin (min slack) or violated target
+    c: float                  # measured margin (min slack) or violated target
     R: float
     T_max: float
-    status: str               # certified-on-grid | violated | certified-by-ustat
+    # certified-on-grid | violated | no-margin | certified-by-ustat
+    status: str
     witness: Optional[Tuple[float, ...]] = None
     witness_modulus: Optional[float] = None
     evidence: List[dict] = field(default_factory=list)
@@ -163,6 +164,8 @@ def _refine_radius(modulus_fn, direction: np.ndarray, b: float,
 def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
           n_radii: int, n_dirs: Optional[int], c: Optional[float],
           refine: bool) -> CramerCertificate:
+    if c is not None and not c > 0:
+        raise ValueError("target margin c must be > 0, got %r" % (c,))
     radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
     n_r, n_d = radii.size, dirs.shape[0]
     T = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
@@ -192,12 +195,15 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
 
     c_hat = best_slack
     if c is not None and c_hat < c:
-        return CramerCertificate(
-            b=b, c=c, R=R, T_max=T_max, status="violated",
-            witness=tuple(float(v) for v in best_t),
-            witness_modulus=best_mod, evidence=evidence)
+        status = "violated"
+    else:
+        # |cf| = 1 at the witness up to the rounding slack that
+        # ustat_certificate allows (a lattice spike): no margin to certify
+        c = c_hat
+        status = ("no-margin" if 1.0 - best_mod <= 1e-12
+                  else "certified-on-grid")
     return CramerCertificate(
-        b=b, c=c_hat, R=R, T_max=T_max, status="certified-on-grid",
+        b=b, c=c, R=R, T_max=T_max, status=status,
         witness=tuple(float(v) for v in best_t),
         witness_modulus=best_mod, evidence=evidence)
 
@@ -209,10 +215,12 @@ def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
     """Scan the weak Cramer inequality on a radial-shell grid.
 
     Returns the minimal slack (1 - |cf(t)|) ||t||^b as the certified
-    on-grid margin, or a violation witness when a target ``c`` is supplied
-    and undercut.  The grid minimum is polished by bounded 1-d
-    minimization along the worst direction, so lattice spikes where
-    |cf| -> 1 are located to high accuracy.
+    on-grid margin, or a violation witness when a target ``c`` (which must
+    be > 0) is supplied and undercut.  When |cf| is 1 within 1e-12 at the
+    minimizer, as on lattice data, the status is "no-margin".  The grid
+    minimum is polished by bounded 1-d minimization along the worst
+    direction, so lattice spikes where |cf| -> 1 are located to high
+    accuracy.
     """
     if b <= 0:
         raise ValueError("b must be > 0")

@@ -1,21 +1,22 @@
 """Multi-index bookkeeping and moment/cumulant algebra.
 
 Everything here is formal power-series arithmetic on coefficient tables
-keyed by multi-indices.  The arithmetic is generic over the value type:
-floats in normal use, ``fractions.Fraction`` when an exact result is
-wanted (the test suite uses that mode as an oracle).
+keyed by multi-indices, done by the series kernel of ``edgelab.jets``.
+The arithmetic is generic over the value type: floats in normal use,
+``fractions.Fraction`` when an exact result is wanted (the test suite uses
+that mode as an oracle).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
-MultiIndex = Tuple[int, ...]
+from .jets import MultiIndex, series_exp, series_log1p, series_mul
 
 __all__ = [
     "MultiIndex",
@@ -23,7 +24,6 @@ __all__ = [
     "multi_factorial",
     "MomentSet",
     "CumulantSet",
-    "Polynomial",
     "as_points",
     "raw_moments_from_points",
     "raw_moments_from_function",
@@ -122,128 +122,6 @@ class CumulantSet:
         return True
 
 
-@dataclass
-class Polynomial:
-    """Polynomial in d variables as a multi-index -> coefficient table.
-
-    Used both for the homogeneous cumulant polynomials and their products.
-    Zero coefficients are dropped on construction.
-    """
-
-    dimension: int
-    coeffs: Dict[MultiIndex, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {nu: c for nu, c in self.coeffs.items() if c != 0}
-
-    @property
-    def degrees(self) -> set:
-        return {sum(nu) for nu in self.coeffs}
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for nu, c in other.coeffs.items():
-            out[nu] = out.get(nu, 0) + c
-        return Polynomial(self.dimension, out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.dimension != other.dimension:
-                raise ValueError("dimension mismatch")
-            out: Dict[MultiIndex, object] = {}
-            for nu1, c1 in self.coeffs.items():
-                for nu2, c2 in other.coeffs.items():
-                    nu = tuple(a + b for a, b in zip(nu1, nu2))
-                    out[nu] = out.get(nu, 0) + c1 * c2
-            return Polynomial(self.dimension, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, a) -> "Polynomial":
-        return Polynomial(self.dimension,
-                          {nu: c * a for nu, c in self.coeffs.items()})
-
-    def __call__(self, x: Sequence[float]) -> float:
-        total = 0.0
-        for nu, c in self.coeffs.items():
-            term = c
-            for xk, p in zip(x, nu):
-                if p:
-                    term = term * xk ** p
-            total += term
-        return total
-
-
-# ---------------------------------------------------------------------------
-# truncated power-series helpers (tables of series coefficients a_nu,
-# meaning sum a_nu t^nu, truncated at a total order)
-
-def _series_mul(a: Dict[MultiIndex, object], b: Dict[MultiIndex, object],
-                max_order: int) -> Dict[MultiIndex, object]:
-    out: Dict[MultiIndex, object] = {}
-    for nu1, c1 in a.items():
-        for nu2, c2 in b.items():
-            if sum(nu1) + sum(nu2) > max_order:
-                continue
-            nu = tuple(x + y for x, y in zip(nu1, nu2))
-            out[nu] = out.get(nu, 0) + c1 * c2
-    return out
-
-
-def _series_compose(u: Dict[MultiIndex, object], max_order: int,
-                    term: Callable[[int, object], object],
-                    const: Dict[MultiIndex, object]
-                    ) -> Dict[MultiIndex, object]:
-    """const + sum_{k >= 1} term(k, .) applied to the coefficients of u^k,
-    for a series u with zero constant term (so u^k vanishes past max_order)."""
-    out = dict(const)
-    power = dict(u)
-    k = 1
-    while power and k <= max_order:
-        for nu, c in power.items():
-            out[nu] = out.get(nu, 0) + term(k, c)
-        k += 1
-        power = _series_mul(power, u, max_order)
-    return out
-
-
-def _series_log1p(u: Dict[MultiIndex, object], max_order: int
-                  ) -> Dict[MultiIndex, object]:
-    """log(1 + u) for a series u with zero constant term."""
-    return _series_compose(u, max_order,
-                           lambda k, c: (1 if k % 2 == 1 else -1) * c / k, {})
-
-
-def _series_exp(u: Dict[MultiIndex, object], max_order: int
-                ) -> Dict[MultiIndex, object]:
-    """exp(u) for a series u with zero constant term."""
-    d = len(next(iter(u))) if u else 1
-    return _series_compose(u, max_order, lambda k, c: c / factorial(k),
-                           {(0,) * d: 1})
-
-
-def _series_substitute_linear(a: Dict[MultiIndex, object], B: np.ndarray,
-                              max_order: int) -> Dict[MultiIndex, object]:
-    """Coefficients of t -> series(B t), i.e. substitute t_k = sum_l B[k,l] u_l."""
-    d = B.shape[1]
-    lin = [Polynomial(d, {tuple(int(i == l) for i in range(d)): B[k, l]
-                          for l in range(d)})
-           for k in range(B.shape[0])]
-    out: Dict[MultiIndex, object] = {}
-    for nu, c in a.items():
-        mono = Polynomial(d, {(0,) * d: 1})
-        for k, p in enumerate(nu):
-            for _ in range(p):
-                mono = mono * lin[k]
-        for mu, cm in mono.coeffs.items():
-            if sum(mu) <= max_order:
-                out[mu] = out.get(mu, 0) + c * cm
-    return {nu: c for nu, c in out.items() if c != 0}
-
-
 # ---------------------------------------------------------------------------
 # moment sources
 
@@ -292,12 +170,9 @@ def moments_to_cumulants(m: MomentSet) -> CumulantSet:
               for nu in m.table}
     zero = (0,) * d
     u = {nu: c for nu, c in series.items() if nu != zero}
-    logm = _series_log1p(u, s)
-    table = {}
-    for nu in enumerate_multi_indices(d, s):
-        if sum(nu) == 0:
-            continue
-        table[nu] = logm.get(nu, 0) * multi_factorial(nu)
+    logm = series_log1p(u, s)
+    table = {nu: logm.get(nu, 0) * multi_factorial(nu)
+             for nu in enumerate_multi_indices(d, s) if sum(nu)}
     c = CumulantSet(d, s, table)
     return CumulantSet(d, s, table, standardized=_is_float_standardized(c))
 
@@ -306,7 +181,7 @@ def cumulants_to_moments(c: CumulantSet) -> MomentSet:
     """Inverse of :func:`moments_to_cumulants` (exp of the cumulant series)."""
     d, s = c.dimension, c.max_order
     u = {nu: c.table[nu] / multi_factorial(nu) for nu in c.table}
-    em = _series_exp(u, s)
+    em = series_exp(u, s)
     table = {nu: em.get(nu, 0) * multi_factorial(nu)
              for nu in enumerate_multi_indices(d, s)}
     return MomentSet(d, s, table)
@@ -333,17 +208,31 @@ def inv_sqrt_spd(V: np.ndarray) -> np.ndarray:
     return (U / np.sqrt(w)) @ U.T
 
 
+def _series_substitute_linear(a: Dict[MultiIndex, object], B: np.ndarray,
+                              max_order: int) -> Dict[MultiIndex, object]:
+    """Coefficients of t -> series(B t), i.e. substitute t_k = sum_l B[k,l] u_l."""
+    d = B.shape[1]
+    lin = [{tuple(int(i == l) for i in range(d)): B[k, l] for l in range(d)}
+           for k in range(B.shape[0])]
+    out: Dict[MultiIndex, object] = {}
+    for nu, c in a.items():
+        mono = {(0,) * d: 1}
+        for k, p in enumerate(nu):
+            for _ in range(p):
+                mono = series_mul(mono, lin[k], max_order)
+        for mu, cm in mono.items():
+            out[mu] = out.get(mu, 0) + c * cm
+    return {nu: c for nu, c in out.items() if c != 0}
+
+
 def _transform_cumulants(c: CumulantSet, A: np.ndarray) -> CumulantSet:
     """Cumulants of A X from cumulants of X (K_{AX}(t) = K_X(A' t))."""
     d, s = c.dimension, c.max_order
     series = {nu: c.table[nu] / multi_factorial(nu) for nu in c.table}
     # substitute t = A' u
     new = _series_substitute_linear(series, np.asarray(A).T, s)
-    table = {}
-    for nu in enumerate_multi_indices(d, s):
-        if sum(nu) == 0:
-            continue
-        table[nu] = new.get(nu, 0) * multi_factorial(nu)
+    table = {nu: new.get(nu, 0) * multi_factorial(nu)
+             for nu in enumerate_multi_indices(d, s) if sum(nu)}
     return CumulantSet(d, s, table)
 
 
@@ -377,8 +266,9 @@ def averaged_standardized_cumulants(sources, s: int,
     return CumulantSet(d, s, table, standardized=out.check_standardized())
 
 
-def chi_poly(j: int, c: CumulantSet) -> Polynomial:
-    """The degree-j cumulant polynomial j! sum_{|nu|=j} chi_nu / nu! z^nu."""
+def chi_poly(j: int, c: CumulantSet) -> Dict[MultiIndex, object]:
+    """The degree-j cumulant polynomial j! sum_{|nu|=j} chi_nu / nu! z^nu,
+    as a coefficient table without zero entries."""
     if not 1 <= j <= c.max_order:
         raise ValueError("order %d not available (max %d)" % (j, c.max_order))
     jf = factorial(j)
@@ -386,4 +276,4 @@ def chi_poly(j: int, c: CumulantSet) -> Polynomial:
     for nu, chi in c.table.items():
         if sum(nu) == j and chi != 0:
             coeffs[nu] = jf * chi / multi_factorial(nu)
-    return Polynomial(c.dimension, coeffs)
+    return coeffs

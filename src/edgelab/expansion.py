@@ -16,7 +16,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn, ndtr
 
-from .cumulants import CumulantSet, MultiIndex, Polynomial, chi_poly
+from .cumulants import CumulantSet, MultiIndex, chi_poly
+from .jets import series_mul
 
 __all__ = [
     "pj_polynomial",
@@ -106,43 +107,32 @@ def _contract(tables: Dict[int, Dict[MultiIndex, float]], n: int, cols):
 # ---------------------------------------------------------------------------
 # correction polynomials
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` positive integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def pj_polynomial(j: int, c: CumulantSet) -> Polynomial:
+def pj_polynomial(j: int, c: CumulantSet) -> Dict[MultiIndex, object]:
     """Correction polynomial of order j built from the cumulant table.
 
-    Sum over m of 1/m! times the sum over compositions (j_1,...,j_m) of j
-    of the product of the degree-(j_k + 2) cumulant polynomials divided by
-    (j_k + 2)!.  Exact when the cumulant table holds exact rationals.
+    P_j is the eps^j coefficient of exp(sum_r eps^r U_r) with
+    U_r = chi_{r+2}(z) / (r+2)!, got by the recurrence P_0 = 1,
+    P_i = (1/i) sum_{r=1..i} r U_r P_{i-r}.  P_i has degree at most 3i, so
+    truncating the products there drops nothing.  Returns the coefficient
+    table without zero entries; exact when the cumulant table holds exact
+    rationals.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j + 2 > c.max_order:
         raise ValueError("order %d cumulants needed, table stops at %d"
                          % (j + 2, c.max_order))
-    d = c.dimension
-    total = Polynomial(d, {})
-    base = {r: chi_poly(r + 2, c) for r in range(1, j + 1)}
-    for m in range(1, j + 1):
-        for comp in _compositions(j, m):
-            term = Polynomial(d, {(0,) * d: 1})
-            for jk in comp:
-                term = term * base[jk]
-            denom = 1
-            for jk in comp:
-                denom *= factorial(jk + 2)
-            denom *= factorial(m)
-            total = total + Polynomial(
-                d, {nu: v / denom for nu, v in term.coeffs.items()})
-    return total
+    U = {r: {nu: v / factorial(r + 2)
+             for nu, v in chi_poly(r + 2, c).items()}
+         for r in range(1, j + 1)}
+    P = [{(0,) * c.dimension: 1}]
+    for i in range(1, j + 1):
+        acc: Dict[MultiIndex, object] = {}
+        for r in range(1, i + 1):
+            for nu, v in series_mul(U[r], P[i - r], 3 * i).items():
+                acc[nu] = acc.get(nu, 0) + r * v
+        P.append({nu: v / i for nu, v in acc.items() if v != 0})
+    return P[j]
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,7 @@ def build_expansion(c: CumulantSet, n: int, s: int) -> EdgeworthExpansion:
     d = c.dimension
     coeffs: Dict[int, Dict[MultiIndex, float]] = {0: {(0,) * d: 1.0}}
     for j in range(1, s - 1):
-        coeffs[j] = dict(pj_polynomial(j, c).coeffs)
+        coeffs[j] = pj_polynomial(j, c)
     return EdgeworthExpansion(d, s, n, c, coeffs)
 
 

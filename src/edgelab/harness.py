@@ -83,6 +83,13 @@ class StudyReport:
         self.config_hash = hashlib.sha256(payload).hexdigest()[:16]
         return self
 
+    def json_slopes(self) -> Dict[str, dict]:
+        """The slopes with None (JSON null) for an undefined slope or
+        stderr, which the fits report as NaN."""
+        return {key: {k: None if isinstance(v, float) and math.isnan(v)
+                      else v for k, v in fit.items()}
+                for key, fit in self.slopes.items()}
+
 
 def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
                      ) -> Tuple[float, float]:
@@ -285,12 +292,13 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
                 "version": report.version,
                 "config": report.config,
                 "config_hash": report.config_hash,
-                "slopes": report.slopes,
+                "slopes": report.json_slopes(),
                 "records": [asdict(r) for r in report.records],
             }
+            text = json.dumps(payload, indent=1, sort_keys=True,
+                              allow_nan=False)
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                fh.write(text + "\n")
         else:
             raise ValueError("format must be 'csv' or 'json'")
     except OSError as exc:

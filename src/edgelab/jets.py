@@ -1,110 +1,80 @@
-"""Truncated multivariate Taylor (jet) arithmetic.
+"""Truncated multivariate power series: the one series kernel.
 
-A jet stores the Taylor coefficients of a function around a base point up
-to a fixed total order; composing jets through the elementary operations
-gives all mixed partial derivatives of rational/power compositions to
-machine precision, without symbolic differentiation.
+A series is a plain ``{multi-index: coefficient}`` table meaning
+sum_nu a_nu t^nu, truncated at a total order.  One truncated multiply and
+one power-sum composition serve every use: cumulants are the log of the
+moment series, moments the exp of the cumulant series, correction
+polynomials products of cumulant polynomials, and the derivative table of
+the studentized mean a product with a real power.  The arithmetic is
+generic over the value type: floats in normal use, ``fractions.Fraction``
+when an exact result is wanted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from math import factorial
+from typing import Callable, Dict, Tuple
 
-from .cumulants import (MultiIndex, _series_compose, _series_mul,
-                        enumerate_multi_indices, multi_factorial)
+MultiIndex = Tuple[int, ...]
+Series = Dict[MultiIndex, object]
 
-__all__ = ["Jet", "jet_variable", "jet_constant", "DerivativeJet"]
-
-
-@dataclass
-class Jet:
-    dimension: int
-    order: int
-    coeffs: Dict[MultiIndex, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {a: c for a, c in self.coeffs.items() if c != 0.0}
-
-    @property
-    def value(self) -> float:
-        return self.coeffs.get((0,) * self.dimension, 0.0)
-
-    def _like(self, coeffs) -> "Jet":
-        return Jet(self.dimension, self.order, coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            other = jet_constant(other, self.dimension, self.order)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0.0) + c
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self._like({a: c * other for a, c in self.coeffs.items()})
-        return self._like(_series_mul(self.coeffs, other.coeffs, self.order))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, p: float) -> "Jet":
-        """Real power via the binomial series around the jet's value."""
-        c0 = self.value
-        if c0 <= 0 and not float(p).is_integer():
-            raise ValueError("fractional power of a jet with nonpositive value")
-        zero = (0,) * self.dimension
-        v = {a: c / c0 for a, c in self.coeffs.items() if a != zero}
-        binom = [1.0]
-        for k in range(1, self.order + 1):
-            binom.append(binom[-1] * ((p - (k - 1)) / k))
-        out = _series_compose(v, self.order, lambda k, c: c * binom[k],
-                              {zero: 1.0})
-        return self._like(out) * (c0 ** p)
-
-    def derivative(self, alpha: MultiIndex) -> float:
-        """D^alpha of the represented function at the base point."""
-        return self.coeffs.get(alpha, 0.0) * multi_factorial(alpha)
+__all__ = ["MultiIndex", "series_mul", "series_compose", "series_log1p",
+           "series_exp", "series_pow"]
 
 
-def jet_constant(value: float, d: int, order: int) -> Jet:
-    return Jet(d, order, {(0,) * d: float(value)})
+def series_mul(a: Series, b: Series, max_order: int) -> Series:
+    """The product a b, without the terms past total order max_order."""
+    out: Series = {}
+    for nu1, c1 in a.items():
+        for nu2, c2 in b.items():
+            if sum(nu1) + sum(nu2) > max_order:
+                continue
+            nu = tuple(x + y for x, y in zip(nu1, nu2))
+            out[nu] = out.get(nu, 0) + c1 * c2
+    return out
 
 
-def jet_variable(i: int, base: float, d: int, order: int) -> Jet:
-    e = tuple(int(k == i) for k in range(d))
-    return Jet(d, order, {(0,) * d: float(base), e: 1.0})
+def series_compose(u: Series, max_order: int,
+                   term: Callable[[int, object], object],
+                   const: Series) -> Series:
+    """const + sum_{k >= 1} term(k, .) applied to the coefficients of u^k,
+    for a series u with zero constant term (so u^k vanishes past max_order)."""
+    out = dict(const)
+    power = dict(u)
+    k = 1
+    while power and k <= max_order:
+        for nu, c in power.items():
+            out[nu] = out.get(nu, 0) + term(k, c)
+        k += 1
+        power = series_mul(power, u, max_order)
+    return out
 
 
-@dataclass(frozen=True)
-class DerivativeJet:
-    """All partial derivatives of a scalar function at a base point."""
+def series_log1p(u: Series, max_order: int) -> Series:
+    """log(1 + u) for a series u with zero constant term."""
+    return series_compose(u, max_order,
+                          lambda k, c: (1 if k % 2 == 1 else -1) * c / k, {})
 
-    base: Tuple[float, ...]
-    order: int
-    table: Dict[MultiIndex, float]
 
-    def __getitem__(self, alpha: MultiIndex) -> float:
-        return self.table[tuple(alpha)]
+def series_exp(u: Series, max_order: int) -> Series:
+    """exp(u) for a series u with zero constant term."""
+    d = len(next(iter(u))) if u else 1
+    return series_compose(u, max_order, lambda k, c: c / factorial(k),
+                          {(0,) * d: 1})
 
-    def max_abs(self, max_order: int = None) -> float:
-        mo = self.order if max_order is None else max_order
-        return max(abs(v) for a, v in self.table.items() if sum(a) <= mo)
 
-    @staticmethod
-    def from_jet(j: Jet, base) -> "DerivativeJet":
-        d = j.dimension
-        table = {a: j.derivative(a)
-                 for a in enumerate_multi_indices(d, j.order)}
-        return DerivativeJet(tuple(float(v) for v in base), j.order, table)
+def series_pow(a: Series, p: float, max_order: int) -> Series:
+    """a^p for a real p, by the binomial series around the constant term
+    a_0, which must be positive (nonzero when p is an integer)."""
+    zero = (0,) * len(next(iter(a)))
+    c0 = a.get(zero, 0)
+    if c0 == 0 or (c0 < 0 and not float(p).is_integer()):
+        raise ValueError("power %r of a series with constant term %r"
+                         % (p, c0))
+    v = {nu: c / c0 for nu, c in a.items() if nu != zero}
+    binom = [1.0]
+    for k in range(1, max_order + 1):
+        binom.append(binom[-1] * ((p - (k - 1)) / k))
+    out = series_compose(v, max_order, lambda k, c: c * binom[k],
+                         {zero: 1.0})
+    return {nu: c * c0 ** p for nu, c in out.items()}

@@ -13,6 +13,10 @@ def write_points(path, pts):
     return str(path)
 
 
+def reject_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
 @pytest.fixture
 def bernoulli_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -43,7 +47,26 @@ def test_cf_scan_with_header_row(tmp_path, capsys):
     rc = main(["cf-scan", "--data", str(path), "--Tmax", "20"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["status"] == "certified-on-grid"
+    assert payload["status"] == "no-margin"
+
+
+def test_certify_lattice_data_has_no_margin(tmp_path, capsys):
+    """|cf| = 1 at 2 pi on the integers: without a target c the scan finds
+    a zero margin and must not call it certified."""
+    path = write_points(tmp_path / "lattice.csv",
+                        (np.arange(60) % 5).astype(float)[:, None])
+    assert main(["certify", "--data", path, "--Tmax", "50"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "no-margin"
+    assert payload["witness_modulus"] >= 1 - 1e-12
+
+
+def test_nonpositive_target_margin_is_rejected(spread_csv, capsys):
+    for command in ("cf-scan", "certify"):
+        assert main([command, "--data", spread_csv, "--c", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "target margin c must be > 0" in captured.err
 
 
 def test_certify_spread_data(spread_csv, capsys):
@@ -71,8 +94,10 @@ def test_bootstrap_compare_outputs(tmp_path, capsys):
 
 
 def test_bootstrap_compare_custom_sets(tmp_path, capsys):
+    # a set file may hold infinite bounds (JSON's Infinity token)
     sets = [{"kind": "halfline", "t": 0.0},
-            {"kind": "box", "low": [-1.0], "high": [1.0]}]
+            {"kind": "box", "low": [-1.0], "high": [1.0]},
+            {"kind": "box", "low": [-math.inf], "high": [0.5]}]
     spec = tmp_path / "sets.json"
     spec.write_text(json.dumps(sets))
     out = tmp_path / "out"
@@ -80,7 +105,7 @@ def test_bootstrap_compare_custom_sets(tmp_path, capsys):
                "--sets", str(spec), "--out", str(out)])
     assert rc == 0
     lines = (out / "bootstrap_compare.csv").read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     for row in csv.reader(lines[1:]):
         for cell in row[1:]:        # every cell after set_id is a number
             float(cell)
@@ -128,6 +153,13 @@ def test_rate_study_inconclusive_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["rate-study", "--config", str(cfg_path)]) == 2
+    # no record is left to fit: the slopes are null, and both outputs are
+    # strict JSON
+    for text in (capsys.readouterr().out,
+                 (tmp_path / "rung" / "rate_study.json").read_text()):
+        slopes = json.loads(text, parse_constant=reject_constant)
+        slopes = slopes.get("slopes", slopes)
+        assert slopes["s=2"] == {"slope": None, "stderr": None, "n_used": 0}
 
 
 def test_uniform_sweep_cli(tmp_path, capsys):
@@ -169,6 +201,15 @@ def test_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\nc,d\n")
     assert main(["cf-scan", "--data", str(bad)]) == 1
+    # a config number that strict JSON cannot hold is refused before the run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"families": [{"name": "gaussian"}], "s": 2, '
+                   '"n_grid": [25, 50, 100, 200], "M": 2000, '
+                   '"rho_cap": Infinity, "out": "%s"}' % (tmp_path / "o"))
+    capsys.readouterr()
+    assert main(["uniform-sweep", "--config", str(cfg)]) == 1
+    assert "Infinity" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_data_is_rejected(tmp_path, capsys):

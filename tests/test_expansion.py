@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from edgelab.cumulants import (CumulantSet, enumerate_multi_indices,
-                               multi_factorial)
+from edgelab.cumulants import (CumulantSet, chi_poly,
+                               enumerate_multi_indices, multi_factorial)
 from edgelab.expansion import (EdgeworthExpansion, SetSpec, build_expansion,
                                default_probe_grid, gaussian_oscillation,
                                hermite_tensor, hermite_value, m_s_norm,
@@ -68,9 +68,9 @@ def test_p1_p2_exact_univariate():
     table = {(1,): Fraction(0), (2,): Fraction(1), (3,): k3, (4,): k4}
     c = CumulantSet(1, 4, table, standardized=True)
     p1 = pj_polynomial(1, c)
-    assert p1.coeffs == {(3,): k3 / 6}
+    assert p1 == {(3,): k3 / 6}
     p2 = pj_polynomial(2, c)
-    assert p2.coeffs == {(4,): k4 / 24, (6,): k3 ** 2 / 72}
+    assert p2 == {(4,): k4 / 24, (6,): k3 ** 2 / 72}
 
 
 def test_pj_degree_window():
@@ -78,7 +78,7 @@ def test_pj_degree_window():
     for d in (1, 2):
         c = standardized_cumulants(d, 6, rng)
         for j in range(1, 5):
-            degs = pj_polynomial(j, c).degrees
+            degs = {sum(nu) for nu in pj_polynomial(j, c)}
             assert degs, "vanishing correction polynomial"
             assert min(degs) >= j + 2
             assert max(degs) <= 3 * j
@@ -127,10 +127,57 @@ def test_pj_symbolic_series_oracle():
         want = sympy.expand(series.coeff(u, j))
         got = pj_polynomial(j, c)
         expr = sympy.Integer(0)
-        for nu, v in got.coeffs.items():
+        for nu, v in got.items():
             expr += (sympy.Rational(v.numerator, v.denominator)
                      * z[0] ** nu[0] * z[1] ** nu[1])
         assert sympy.simplify(expr - want) == 0
+
+
+def _compositions(total, parts):
+    """All tuples of ``parts`` positive integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def pj_by_compositions(j, c):
+    """Reference P_j: sum over m of 1/m! times the sum over compositions
+    (j_1..j_m) of j of prod_k chi_{j_k+2}(z) / (j_k+2)!, with untruncated
+    products."""
+    d = c.dimension
+    base = {r: chi_poly(r + 2, c) for r in range(1, j + 1)}
+    total = {}
+    for m in range(1, j + 1):
+        for comp in _compositions(j, m):
+            term = {(0,) * d: 1}
+            denom = factorial(m)
+            for jk in comp:
+                prod = {}
+                for nu1, c1 in term.items():
+                    for nu2, c2 in base[jk].items():
+                        nu = tuple(a + b for a, b in zip(nu1, nu2))
+                        prod[nu] = prod.get(nu, 0) + c1 * c2
+                term = prod
+                denom *= factorial(jk + 2)
+            for nu, v in term.items():
+                total[nu] = total.get(nu, 0) + v / denom
+    return {nu: v for nu, v in total.items() if v != 0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_pj_recurrence_matches_composition_sum(d, j, seed):
+    """The exp recurrence gives exactly the composition-sum P_j."""
+    rng = np.random.default_rng(seed)
+    table = {nu: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+             for nu in enumerate_multi_indices(d, j + 2) if sum(nu) > 0}
+    c = CumulantSet(d, j + 2, table)
+    assert pj_polynomial(j, c) == pj_by_compositions(j, c)
 
 
 # -- expansion construction and evaluation ----------------------------------

@@ -7,9 +7,10 @@ from scipy.stats import norm
 
 from edgelab.bootstrap import child_rng
 from edgelab.families import Family, make_family, register_builtin_families
-from edgelab.harness import (StudyRecord, default_t_grid, dkw_halfwidth,
-                             emit_report, exact_sum_cdf_mc, fit_loglog_slope,
-                             parse_report_csv, rate_study, uniform_sweep)
+from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
+                             dkw_halfwidth, emit_report, exact_sum_cdf_mc,
+                             fit_loglog_slope, parse_report_csv, rate_study,
+                             uniform_sweep)
 
 
 # -- families ---------------------------------------------------------------
@@ -203,6 +204,22 @@ def test_emit_json_contains_slopes(tmp_path):
     assert payload["config_hash"] == rep.config_hash
     assert "s=2" in payload["slopes"]
     assert len(payload["records"]) == len(rep.records)
+
+
+def test_emit_json_is_strict_for_a_two_point_fit(tmp_path):
+    slope, se = fit_loglog_slope([25, 100], [0.2, 0.1])
+    rep = StudyReport(slopes={"s=3": {"slope": slope, "stderr": se,
+                                      "n_used": 2}}).finalize()
+    path = tmp_path / "report.json"
+    emit_report(rep, "json", str(path))
+
+    def reject(name):
+        raise ValueError("not strict JSON: %s" % name)
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["slopes"]["s=3"] == {"slope": pytest.approx(-0.5),
+                                        "stderr": None, "n_used": 2}
+    assert math.isnan(rep.slopes["s=3"]["stderr"])
 
 
 def test_emit_report_bad_format(tmp_path):

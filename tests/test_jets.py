@@ -2,62 +2,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgelab.bootstrap import g_value_and_jet
-from edgelab.cumulants import enumerate_multi_indices
-from edgelab.jets import DerivativeJet, Jet, jet_constant, jet_variable
+from edgelab.bootstrap import event_checks, g_value_and_jet
+from edgelab.cumulants import enumerate_multi_indices, multi_factorial
+from edgelab.jets import series_mul, series_pow
+
+
+def derivative(series, alpha):
+    """D^alpha at the base point of the function a Taylor series stands for."""
+    return series.get(alpha, 0.0) * multi_factorial(alpha)
 
 
 def test_polynomial_jet_coefficients():
     # f(x, y) = (x + 2y)^3 around (0, 0)
-    x = jet_variable(0, 0.0, 2, 3)
-    y = jet_variable(1, 0.0, 2, 3)
-    f = (x + 2 * y) * (x + 2 * y) * (x + 2 * y)
+    lin = {(0, 0): 0.0, (1, 0): 1.0, (0, 1): 2.0}
+    f = series_mul(series_mul(lin, lin, 3), lin, 3)
     # D^(1,2) f = 3! / (1! 2!) * 1 * 2^2 * (1,2)-multinomial = 24
-    assert f.derivative((1, 2)) == pytest.approx(24.0)
-    assert f.derivative((3, 0)) == pytest.approx(6.0)
-    assert f.value == 0.0
+    assert derivative(f, (1, 2)) == pytest.approx(24.0)
+    assert derivative(f, (3, 0)) == pytest.approx(6.0)
+    assert f[(0, 0)] == 0.0
 
 
 def test_integer_power_matches_repeated_product():
-    x = jet_variable(0, 1.5, 1, 4)
-    f = 2.0 + x * x
-    assert (f ** 3).coeffs == pytest.approx((f * f * f).coeffs)
+    x = {(0,): 1.5, (1,): 1.0}
+    f = series_mul(x, x, 4)
+    f[(0,)] += 2.0
+    assert series_pow(f, 3, 4) == pytest.approx(
+        series_mul(series_mul(f, f, 4), f, 4))
 
 
 def test_sqrt_jet_derivatives():
     # d^k/dx^k sqrt(x) at x0
     x0 = 2.3
-    x = jet_variable(0, x0, 1, 3)
-    g = x ** 0.5
-    assert g.value == pytest.approx(math.sqrt(x0))
-    assert g.derivative((1,)) == pytest.approx(0.5 * x0 ** -0.5)
-    assert g.derivative((2,)) == pytest.approx(-0.25 * x0 ** -1.5)
-    assert g.derivative((3,)) == pytest.approx(0.375 * x0 ** -2.5)
+    g = series_pow({(0,): x0, (1,): 1.0}, 0.5, 3)
+    assert g[(0,)] == pytest.approx(math.sqrt(x0))
+    assert derivative(g, (1,)) == pytest.approx(0.5 * x0 ** -0.5)
+    assert derivative(g, (2,)) == pytest.approx(-0.25 * x0 ** -1.5)
+    assert derivative(g, (3,)) == pytest.approx(0.375 * x0 ** -2.5)
 
 
 def test_reciprocal_jet():
     x0 = 0.7
-    x = jet_variable(0, x0, 1, 4)
-    inv = x ** -1.0
+    inv = series_pow({(0,): x0, (1,): 1.0}, -1.0, 4)
     for k in range(5):
         want = (-1) ** k * math.factorial(k) / x0 ** (k + 1)
-        assert inv.derivative((k,)) == pytest.approx(want, rel=1e-12)
+        assert derivative(inv, (k,)) == pytest.approx(want, rel=1e-12)
 
 
 def test_fractional_power_requires_positive_value():
-    x = jet_variable(0, -1.0, 1, 2)
     with pytest.raises(ValueError):
-        x ** 0.5
+        series_pow({(0,): -1.0, (1,): 1.0}, 0.5, 2)
 
 
 def test_arithmetic_identities():
-    x = jet_variable(0, 0.4, 1, 3)
-    z = x - x
-    assert all(c == 0 for c in z.coeffs.values()) or not z.coeffs
-    c = jet_constant(3.0, 1, 3)
-    assert (c * x).derivative((1,)) == pytest.approx(3.0)
-    assert (1.0 - x).value == pytest.approx(0.6)
+    x = {(0,): 0.4, (1,): 1.0}
+    neg = series_mul({(0,): -1.0}, x, 3)
+    z = {nu: x[nu] + c for nu, c in neg.items()}
+    assert all(c == 0 for c in z.values())
+    assert derivative(series_mul({(0,): 3.0}, x, 3), (1,)) == \
+        pytest.approx(3.0)
+    assert 1.0 + neg[(0,)] == pytest.approx(0.6)
 
 
 def test_g_jet_at_symmetric_point():
@@ -81,14 +86,23 @@ def test_g_jet_rejects_singular_base():
 
 
 def test_derivative_jet_table_and_max():
-    x = jet_variable(0, 0.0, 1, 2)
-    f = 1.0 + 2.0 * x + x * x * 1.5
-    dj = DerivativeJet.from_jet(f, (0.0,))
-    assert dj[(0,)] == pytest.approx(1.0)
-    assert dj[(1,)] == pytest.approx(2.0)
-    assert dj[(2,)] == pytest.approx(3.0)
-    assert dj.max_abs() == pytest.approx(3.0)
-    assert dj.max_abs(max_order=1) == pytest.approx(2.0)
+    x = {(0,): 0.0, (1,): 1.0}
+    f = series_mul(series_mul(x, x, 2), {(0,): 1.5}, 2)
+    f[(0,)] += 1.0
+    f[(1,)] += 2.0
+    table = {a: derivative(f, a) for a in enumerate_multi_indices(1, 2)}
+    assert table[(0,)] == pytest.approx(1.0)
+    assert table[(1,)] == pytest.approx(2.0)
+    assert table[(2,)] == pytest.approx(3.0)
+    assert max(abs(v) for v in table.values()) == pytest.approx(3.0)
+    # the table of g holds every |alpha| <= order, and the jet event
+    # compares its largest absolute entry with c3
+    pts = np.random.default_rng(4).normal(size=(50, 2)) + [0.0, 2.0]
+    flags = event_checks(pts, 3, rho_bar=1e6, c1=1e-9, c2=1e6, c3=1e9,
+                         wbar=0.1)
+    jet = g_value_and_jet(flags.stats.mean, 0.1, order=6)
+    assert set(jet) == set(enumerate_multi_indices(2, 6))
+    assert flags.jet_max == max(abs(v) for v in jet.values())
 
 
 def test_jet_against_finite_differences():
@@ -104,3 +118,24 @@ def test_jet_against_finite_differences():
     assert jet[(1, 0)] == pytest.approx(fd, rel=1e-8)
     fd2 = (g(base[0], base[1] + h) - g(base[0], base[1] - h)) / (2 * h)
     assert jet[(0, 1)] == pytest.approx(fd2, rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def g_partials():
+    """Symbolic D^alpha of (x1 - w) / sqrt(x2 - x1^2) for |alpha| <= 5."""
+    sympy = pytest.importorskip("sympy")
+    x1, x2, w = sympy.symbols("x1 x2 w")
+    g = (x1 - w) / sympy.sqrt(x2 - x1 ** 2)
+    return (x1, x2, w), {a: sympy.diff(g, x1, a[0], x2, a[1])
+                         for a in enumerate_multi_indices(2, 5)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-1.5, 1.5), st.floats(0.2, 3.0), st.floats(-1.0, 1.0))
+def test_g_jet_matches_sympy_derivatives(g_partials, x1, v, w):
+    (s1, s2, sw), partials = g_partials
+    jet = g_value_and_jet(np.array([x1, x1 * x1 + v]), w, order=5)
+    subs = {s1: x1, s2: x1 * x1 + v, sw: w}
+    for alpha, expr in partials.items():
+        want = float(expr.evalf(30, subs=subs))
+        assert jet[alpha] == pytest.approx(want, rel=1e-10, abs=1e-12)
