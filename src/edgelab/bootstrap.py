@@ -4,6 +4,8 @@ functional with its derivative jet."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 16384   # fixed bootstrap chunk so streams do not depend on workers
+_BLOCK = 2 ** 16  # index elements drawn and reduced at once within a chunk
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -110,38 +113,70 @@ def sqrt_spd(V: np.ndarray) -> np.ndarray:
 
 
 def bootstrap_draws(data, B: int, seed: int = 0,
-                    stream_key: Tuple[int, ...] = ()) -> np.ndarray:
+                    stream_key: Tuple[int, ...] = (),
+                    workers: Optional[int] = None) -> np.ndarray:
     """B draws of sqrt(n) Vhat^{-1/2} (bootstrap mean - sample mean).
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
-    so the output is bit-identical for any parallel schedule.
+    so the output is bit-identical for any number of worker threads
+    (workers; None means every available CPU).
     """
     pts = _as_points(data)
     n = pts.shape[0]
-    if B < 1:
-        raise ValueError("B must be >= 1")
     stats = sample_stats(pts, 2) if n >= 2 else None
     if stats is None or stats.lam_min <= 0:
         raise ValueError("sample covariance is singular; cannot standardize")
     A = inv_sqrt_spd(stats.cov)
 
-    def standardize(res):
-        return sqrt(n) * (res.mean(axis=1) - stats.mean) @ A.T
+    def standardize(means):
+        return sqrt(n) * (means - stats.mean) @ A.T
 
-    return _resample(pts, B, seed, stream_key, standardize)
+    return _resample(pts, B, seed, stream_key, lambda res: res.mean(axis=1),
+                     finish=standardize, workers=workers)
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _resample(values: np.ndarray, B: int, seed: int,
-              stream_key: Tuple[int, ...], reduce: Callable) -> np.ndarray:
-    """reduce(resamples) over B resamples of the rows of values, drawn in
-    fixed-size chunks; chunk ci uses the stream (seed, *stream_key, ci)."""
+              stream_key: Tuple[int, ...], reduce: Callable,
+              finish: Optional[Callable] = None,
+              workers: Optional[int] = None) -> np.ndarray:
+    """B resamples of the rows of values, reduced row by row.
+
+    Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
+    (seed, *stream_key, ci), in row blocks of about _BLOCK indices, each
+    passed to reduce; finish, if given, maps the chunk's concatenated
+    output.  Chunks run on min(chunks, workers) threads (None: every
+    available CPU) and are joined in chunk order, so the output does not
+    depend on workers.  reduce must treat rows independently.
+    """
+    workers = _available_cpus() if workers is None else workers
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n = values.shape[0]
-    out = []
-    for ci, lo in enumerate(range(0, B, _CHUNK)):
+    rows = max(1, _BLOCK // n)
+
+    def chunk(ci):
+        m = min(_CHUNK, B - ci * _CHUNK)
         rng = child_rng(seed, *stream_key, ci)
-        idx = rng.integers(0, n, size=(min(_CHUNK, B - lo), n))
-        out.append(reduce(values[idx]))
-    return np.concatenate(out)
+        out = np.concatenate([
+            reduce(values[rng.integers(0, n, size=(min(rows, m - lo), n))])
+            for lo in range(0, m, rows)])
+        return out if finish is None else finish(out)
+
+    n_chunks = -(-B // _CHUNK)
+    if min(n_chunks, workers) == 1:
+        return np.concatenate([chunk(ci) for ci in range(n_chunks)])
+    with ThreadPoolExecutor(max_workers=min(n_chunks, workers)) as pool:
+        return np.concatenate(list(pool.map(chunk, range(n_chunks))))
 
 
 def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:
@@ -235,13 +270,15 @@ def g_value_and_jet(xbar, wbar: float,
 
 
 def tstat_bootstrap(W, B: int, seed: int = 0,
-                    stream_key: Tuple[int, ...] = ()
+                    stream_key: Tuple[int, ...] = (),
+                    workers: Optional[int] = None
                     ) -> Tuple[np.ndarray, int]:
     """B bootstrap draws of the studentized mean statistic.
 
     Resamples with replacement, studentizes by the resample standard
     deviation (denominator n), and centers at the original sample mean.
-    Draws with zero resample variance are excluded and counted.
+    Draws with zero resample variance are excluded and counted.  Streams
+    and workers are as in bootstrap_draws.
     """
     w = np.asarray(W, dtype=float).ravel()
     n = w.size
@@ -255,7 +292,7 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
         ok = s2 > 0
         return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
 
-    kept = _resample(w, B, seed, stream_key, studentize)
+    kept = _resample(w, B, seed, stream_key, studentize, workers=workers)
     return kept, B - kept.size
 
 

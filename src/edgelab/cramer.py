@@ -164,6 +164,8 @@ def _refine_radius(modulus_fn, direction: np.ndarray, b: float,
 def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
           n_radii: int, n_dirs: Optional[int], c: Optional[float],
           refine: bool) -> CramerCertificate:
+    if not b > 0:
+        raise ValueError("b must be > 0")
     if c is not None and not c > 0:
         raise ValueError("target margin c must be > 0, got %r" % (c,))
     radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
@@ -222,8 +224,6 @@ def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
     direction, so lattice spikes where |cf| -> 1 are located to high
     accuracy.
     """
-    if b <= 0:
-        raise ValueError("b must be > 0")
     return _scan(h.modulus, h.dimension, b, R, T_max, n_radii, n_dirs,
                  c, refine)
 

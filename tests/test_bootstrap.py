@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgelab.bootstrap import (Dataset, bootstrap_draws, child_rng,
+from edgelab.bootstrap import (_BLOCK, Dataset, bootstrap_draws, child_rng,
                                edgeworth_tstat_curve, empirical_edgeworth,
                                enlargement_deviation, event_checks,
                                g_value_and_jet, sample_stats, sqrt_spd,
@@ -90,33 +90,70 @@ def _per_chunk_loop(values, B, seed, reduce):
     return np.concatenate(out)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_bootstrap_draws_match_per_chunk_reference(d):
-    pts = skewed_sample(40, seed=21, d=d)
+def _standardize_reference(pts):
+    n = pts.shape[0]
     st = sample_stats(pts, 2)
     A = inv_sqrt_spd(st.cov)
-    ref = _per_chunk_loop(
-        pts, _GUARD_B, 9,
-        lambda res: np.sqrt(40) * (res.mean(axis=1) - st.mean) @ A.T)
-    got = bootstrap_draws(pts, _GUARD_B, seed=9)
-    assert got.shape == (_GUARD_B, d)
-    assert np.array_equal(got, ref)
+    return lambda res: np.sqrt(n) * (res.mean(axis=1) - st.mean) @ A.T
 
 
-def test_tstat_bootstrap_matches_per_chunk_reference():
-    w = np.random.default_rng(22).exponential(size=4)  # some degenerate
+def _studentize_reference(w):
     wbar = w.mean()
 
     def studentize(res):
         mb = res.mean(axis=1)
         s2 = (res * res).mean(axis=1) - mb * mb
         ok = s2 > 0
-        return np.sqrt(4) * (mb[ok] - wbar) / np.sqrt(s2[ok])
+        return np.sqrt(w.size) * (mb[ok] - wbar) / np.sqrt(s2[ok])
+    return studentize
 
-    ref = _per_chunk_loop(w, _GUARD_B, 10, studentize)
-    got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10)
-    assert np.array_equal(got, ref)
-    assert degenerate == _GUARD_B - ref.size > 0
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bootstrap_draws_match_per_chunk_reference(d):
+    pts = skewed_sample(40, seed=21, d=d)
+    ref = _per_chunk_loop(pts, _GUARD_B, 9, _standardize_reference(pts))
+    for workers in (1, 2, 3):
+        got = bootstrap_draws(pts, _GUARD_B, seed=9, workers=workers)
+        assert got.shape == (_GUARD_B, d)
+        assert np.array_equal(got, ref)
+
+
+def test_tstat_bootstrap_matches_per_chunk_reference():
+    w = np.random.default_rng(22).exponential(size=4)  # some degenerate
+    ref = _per_chunk_loop(w, _GUARD_B, 10, _studentize_reference(w))
+    for workers in (1, 2, 3):
+        got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10,
+                                          workers=workers)
+        assert np.array_equal(got, ref)
+        assert degenerate == _GUARD_B - ref.size > 0
+
+
+# n = 400 splits each chunk into row blocks of 163 resamples; past
+# _BLOCK indices every block holds a single resample, and a matrix product
+# per one-row block would differ from the reference in the last bit.
+@pytest.mark.parametrize("n, d, B", [(400, 3, _GUARD_B), (_BLOCK + 3, 1, 3),
+                                     (_BLOCK + 3, 3, 8)])
+def test_resampling_in_row_blocks_matches_per_chunk_reference(n, d, B):
+    pts = skewed_sample(n, seed=23, d=d)
+    ref = _per_chunk_loop(pts, B, 11, _standardize_reference(pts))
+    w = pts[:, 0]
+    ref_t = _per_chunk_loop(w, B, 12, _studentize_reference(w))
+    for workers in (1, 2, 3):
+        assert np.array_equal(
+            bootstrap_draws(pts, B, seed=11, workers=workers), ref)
+        got, _ = tstat_bootstrap(w, B, seed=12, workers=workers)
+        assert np.array_equal(got, ref_t)
+
+
+def test_resampling_default_workers_and_validation():
+    pts = skewed_sample(30, seed=24)
+    assert np.array_equal(bootstrap_draws(pts, _GUARD_B, seed=13),
+                          bootstrap_draws(pts, _GUARD_B, seed=13, workers=1))
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            bootstrap_draws(pts, 10, workers=bad)
+    with pytest.raises(ValueError, match="B must be"):
+        tstat_bootstrap(pts[:, 0], 0)
 
 
 def test_bootstrap_draws_rejects_degenerate_data():

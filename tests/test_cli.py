@@ -126,6 +126,33 @@ def test_tstat_study_outputs(tmp_path):
     assert len(lines) == 10          # 9 grid points
 
 
+def test_resampling_outputs_do_not_depend_on_workers(tmp_path):
+    """tstat-study and bootstrap-compare --sets over three chunks (the
+    last one partial) write the same bytes on one and on two threads."""
+    data = write_points(tmp_path / "pts.csv", np.random.default_rng(3)
+                        .exponential(size=(60, 2)) - 1.0)
+    spec = tmp_path / "sets.json"
+    spec.write_text(json.dumps([
+        {"kind": "halfspace", "normal": [1.0, -0.5], "offset": 0.3},
+        {"kind": "box", "low": [-1.0, -math.inf], "high": [0.5, 1.0]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.5}]))
+    B = str(2 * 16384 + 5)
+    runs = [
+        (["tstat-study", "--n", "120", "--B", B, "--tgrid=-2:2:0.25",
+          "--mc-budget", "20000"], ["tstat_study.csv", "tstat_study.json"]),
+        (["bootstrap-compare", "--data", data, "--sets", str(spec),
+          "--B", B], ["bootstrap_compare.csv", "bootstrap_compare.json"]),
+    ]
+    out = tmp_path / "out"
+    for argv, names in runs:
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers, "--seed", "5",
+                                "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+
 def test_rate_study_cli_and_determinism(tmp_path, capsys):
     cfg = {"family": "centered-exponential", "s": 3,
            "n_grid": [25, 50, 100, 200], "M": 20000, "seed": 0,
@@ -210,6 +237,9 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["uniform-sweep", "--config", str(cfg)]) == 1
     assert "Infinity" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    assert main(["tstat-study", "--n", "50", "--B", "100", "--workers", "0",
+                 "--out", str(tmp_path / "t")]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_non_finite_data_is_rejected(tmp_path, capsys):

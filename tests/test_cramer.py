@@ -136,6 +136,15 @@ def test_mean_scan_averages_moduli():
         mean_weak_cramer_scan([], 1.0, 1.0, 20.0)
 
 
+@pytest.mark.parametrize("b", [-1.0, 0.0])
+def test_both_scans_refuse_nonpositive_b(b):
+    h = CharFunctionHandle.from_points([0.0, 1.0, math.sqrt(2.0)])
+    with pytest.raises(ValueError, match="b must be > 0"):
+        weak_cramer_scan(h, b=b, R=1.0, T_max=20.0)
+    with pytest.raises(ValueError, match="b must be > 0"):
+        mean_weak_cramer_scan([h], b=b, R=1.0, T_max=20.0)
+
+
 # -- wrapped-square certificates --------------------------------------------
 
 def test_xi_wrap_range_and_exactness():

@@ -127,6 +127,8 @@ def test_rate_study_grid_validation():
     with pytest.raises(ValueError):
         rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0,
                    mode="bootstrap")  # needs B
+    with pytest.raises(ValueError, match="workers"):
+        rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0, workers=0)
 
 
 def test_rate_study_bootstrap_mode():
@@ -137,7 +139,7 @@ def test_rate_study_bootstrap_mode():
     assert len(rep.records) == 8
 
 
-def test_rate_study_workers_agree():
+def test_rate_study_workers_agree(tmp_path):
     fam = make_family("centered-exponential")
     a = rate_study(fam, 3, [25, 50, 100, 200], M=20_000, seed=1, workers=1)
     b = rate_study(fam, 3, [25, 50, 100, 200], M=20_000, seed=1, workers=4)
@@ -145,6 +147,17 @@ def test_rate_study_workers_agree():
     # nan-tolerant comparison for degenerate slope fits
     assert json.dumps(a.slopes, sort_keys=True) == \
         json.dumps(b.slopes, sort_keys=True)
+    # bootstrap cells over two chunks: resampled on threads when the
+    # cells run serially, serially when the cells run on threads
+    reports = []
+    for workers in (1, 4):
+        rep = rate_study(fam, 3, [25, 50, 100, 200], M=0, seed=1,
+                         mode="bootstrap", B=16384 + 5, workers=workers)
+        emit_report(rep, "csv", str(tmp_path / "r.csv"))
+        emit_report(rep, "json", str(tmp_path / "r.json"))
+        reports.append(((tmp_path / "r.csv").read_bytes(),
+                        (tmp_path / "r.json").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_rate_study_replications():
