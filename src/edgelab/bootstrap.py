@@ -173,8 +173,6 @@ def _resample(values: np.ndarray, B: int, seed: int,
         return out if finish is None else finish(out)
 
     n_chunks = -(-B // _CHUNK)
-    if min(n_chunks, workers) == 1:
-        return np.concatenate([chunk(ci) for ci in range(n_chunks)])
     with ThreadPoolExecutor(max_workers=min(n_chunks, workers)) as pool:
         return np.concatenate(list(pool.map(chunk, range(n_chunks))))
 
@@ -270,15 +268,14 @@ def g_value_and_jet(xbar, wbar: float,
 
 
 def tstat_bootstrap(W, B: int, seed: int = 0,
-                    stream_key: Tuple[int, ...] = (),
-                    workers: Optional[int] = None
+                    stream_key: Tuple[int, ...] = ()
                     ) -> Tuple[np.ndarray, int]:
     """B bootstrap draws of the studentized mean statistic.
 
     Resamples with replacement, studentizes by the resample standard
     deviation (denominator n), and centers at the original sample mean.
     Draws with zero resample variance are excluded and counted.  Streams
-    and workers are as in bootstrap_draws.
+    are as in bootstrap_draws; resampling runs on every available CPU.
     """
     w = np.asarray(W, dtype=float).ravel()
     n = w.size
@@ -292,7 +289,7 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
         ok = s2 > 0
         return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
 
-    kept = _resample(w, B, seed, stream_key, studentize, workers=workers)
+    kept = _resample(w, B, seed, stream_key, studentize)
     return kept, B - kept.size
 
 

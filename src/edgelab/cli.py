@@ -123,8 +123,7 @@ def _get_dataset(args) -> np.ndarray:
 
 def cmd_bootstrap_compare(args) -> int:
     pts = _get_dataset(args)
-    draws = bl.bootstrap_draws(pts, args.B, seed=args.seed,
-                               workers=args.workers)
+    draws = bl.bootstrap_draws(pts, args.B, seed=args.seed)
     e = bl.empirical_edgeworth(pts, args.s)
     if args.sets:
         with open(args.sets) as fh:
@@ -173,8 +172,7 @@ def cmd_tstat_study(args) -> int:
     rng = bl.child_rng(args.seed, 202)
     w = fam.sample(rng, args.n)
     tgrid = _parse_grid(args.tgrid)
-    tstats, degenerate = bl.tstat_bootstrap(w, args.B, seed=args.seed,
-                                            workers=args.workers)
+    tstats, degenerate = bl.tstat_bootstrap(w, args.B, seed=args.seed)
     q_emp = ecdf_on_grid(tstats, tgrid)
     x = np.stack([w, w ** 2], axis=1)
     stats = bl.sample_stats(x, args.s)
@@ -277,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-dirs", type=int, default=None)
         sp.add_argument("--cR", type=float, default=None)
 
-    def workers_arg(sp):
-        sp.add_argument("--workers", type=int, default=None,
-                        help="resampling threads; default: every "
-                             "available CPU (output does not depend on it)")
-
     sp = sub.add_parser("cf-scan", help="scan the weak Cramer inequality")
     scan_args(sp)
     sp.set_defaults(fn=cmd_cf_scan)
@@ -301,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, default=3)
     sp.add_argument("--sets", default=None, help="JSON file of set specs")
     sp.add_argument("--rho-bar", type=float, default=100.0)
-    workers_arg(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_bootstrap_compare)
 
@@ -314,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, default=3)
     sp.add_argument("--tgrid", default="-4:4:0.05")
     sp.add_argument("--mc-budget", type=int, default=200_000)
-    workers_arg(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_tstat_study)
 

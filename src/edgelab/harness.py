@@ -124,12 +124,10 @@ def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
 
 
 def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
-          t_grid, seed: int, draw_workers: Optional[int]
-          ) -> List[StudyRecord]:
+          t_grid, seed: int) -> List[StudyRecord]:
     """Sup deviations at one (n, rep) for each s: in analytic mode the
     simulated sum against the analytic-cumulant expansion, in bootstrap
-    mode bootstrap draws (on draw_workers threads) against the
-    empirical-cumulant expansion."""
+    mode bootstrap draws against the empirical-cumulant expansion."""
     key = (seed, _family_key(family.name))
     if mode == "analytic":
         cdf, band = exact_sum_cdf_mc(family, n, M, t_grid,
@@ -139,9 +137,8 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
     else:
         data = family.sample(child_rng(*key, 1, n, rep), n)[:, None]
         draw_seed = int(child_rng(*key, 2, n, rep).integers(0, 2 ** 63))
-        draws = bootstrap_draws(data, B, seed=draw_seed,
-                                workers=draw_workers)
-        cdf = ecdf_on_grid(draws[:, 0], t_grid)
+        cdf = ecdf_on_grid(bootstrap_draws(data, B, seed=draw_seed)[:, 0],
+                           t_grid)
         band = dkw_halfwidth(B)
         cumulants = lambda s: empirical_edgeworth(data, s).cumulants
         metric = "bootstrap_sup_dev"
@@ -179,10 +176,8 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         raise ValueError("bootstrap mode needs a resampling budget B")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # cells on several threads resample serially: no pool inside a pool
-    draw_workers = 1 if workers > 1 else None
     work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,
-                              t_grid, seed, draw_workers)
+                              t_grid, seed)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgelab import bootstrap
 from edgelab.bootstrap import (_BLOCK, Dataset, bootstrap_draws, child_rng,
                                edgeworth_tstat_curve, empirical_edgeworth,
                                enlargement_deviation, event_checks,
@@ -118,12 +119,12 @@ def test_bootstrap_draws_match_per_chunk_reference(d):
         assert np.array_equal(got, ref)
 
 
-def test_tstat_bootstrap_matches_per_chunk_reference():
+def test_tstat_bootstrap_matches_per_chunk_reference(monkeypatch):
     w = np.random.default_rng(22).exponential(size=4)  # some degenerate
     ref = _per_chunk_loop(w, _GUARD_B, 10, _studentize_reference(w))
     for workers in (1, 2, 3):
-        got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10,
-                                          workers=workers)
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
+        got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10)
         assert np.array_equal(got, ref)
         assert degenerate == _GUARD_B - ref.size > 0
 
@@ -133,7 +134,8 @@ def test_tstat_bootstrap_matches_per_chunk_reference():
 # per one-row block would differ from the reference in the last bit.
 @pytest.mark.parametrize("n, d, B", [(400, 3, _GUARD_B), (_BLOCK + 3, 1, 3),
                                      (_BLOCK + 3, 3, 8)])
-def test_resampling_in_row_blocks_matches_per_chunk_reference(n, d, B):
+def test_resampling_in_row_blocks_matches_per_chunk_reference(
+        n, d, B, monkeypatch):
     pts = skewed_sample(n, seed=23, d=d)
     ref = _per_chunk_loop(pts, B, 11, _standardize_reference(pts))
     w = pts[:, 0]
@@ -141,7 +143,8 @@ def test_resampling_in_row_blocks_matches_per_chunk_reference(n, d, B):
     for workers in (1, 2, 3):
         assert np.array_equal(
             bootstrap_draws(pts, B, seed=11, workers=workers), ref)
-        got, _ = tstat_bootstrap(w, B, seed=12, workers=workers)
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
+        got, _ = tstat_bootstrap(w, B, seed=12)
         assert np.array_equal(got, ref_t)
 
 

@@ -147,8 +147,8 @@ def test_rate_study_workers_agree(tmp_path):
     # nan-tolerant comparison for degenerate slope fits
     assert json.dumps(a.slopes, sort_keys=True) == \
         json.dumps(b.slopes, sort_keys=True)
-    # bootstrap cells over two chunks: resampled on threads when the
-    # cells run serially, serially when the cells run on threads
+    # bootstrap cells over two chunks, resampled on threads inside the
+    # cells' own threads
     reports = []
     for workers in (1, 4):
         rep = rate_study(fam, 3, [25, 50, 100, 200], M=0, seed=1,
