@@ -11,10 +11,9 @@ from .cumulants import (CumulantSet, MomentSet,
 from .expansion import (EdgeworthExpansion, SetSpec, build_expansion,
                         gaussian_oscillation, hermite_tensor, hermite_value,
                         m_s_norm, pj_polynomial, set_measure)
-from .cramer import (CharFunctionHandle, CramerCertificate, c_kr_estimate,
-                     c_r_lower_bound, eval_cf, failure_prob_bound,
-                     mean_weak_cramer_scan, ustat_certificate,
-                     weak_cramer_scan)
+from .cramer import (CharFunctionHandle, CramerCertificate, c_r_lower_bound,
+                     eval_cf, failure_prob_bound, mean_weak_cramer_scan,
+                     ustat_certificate, weak_cramer_scan)
 from .bootstrap import (Dataset, EventFlags, SampleStats, bootstrap_draws,
                         empirical_edgeworth, enlargement_deviation,
                         event_checks, g_value_and_jet, sample_stats,

@@ -30,20 +30,23 @@ def _out_dir(path: str | None) -> str:
 
 
 def _load_points(path: str) -> np.ndarray:
-    rows = []
+    """Points from a CSV file, one per row, after any non-numeric header
+    rows; blank lines are skipped."""
+    header = 0
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        for line in fh:
             try:
-                rows.append([float(v) for v in row])
+                row = [float(v) for v in next(csv.reader([line]), [])]
             except ValueError:
-                if rows:       # non-numeric row after data started
-                    raise
-                continue       # header line
-    if not rows:
-        raise ValueError("no numeric rows in %s" % path)
-    return bl.Dataset(rows).points
+                row = []
+            if row:
+                break
+            header += 1
+        else:
+            raise ValueError("no numeric rows in %s" % path)
+    pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=header,
+                     comments=None, quotechar='"')
+    return bl.Dataset(pts).points
 
 
 def _reject_constant(name: str):

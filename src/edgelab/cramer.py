@@ -25,11 +25,29 @@ __all__ = [
     "weak_cramer_scan",
     "mean_weak_cramer_scan",
     "ustat_certificate",
-    "c_kr_estimate",
     "c_r_lower_bound",
     "failure_prob_bound",
     "scan_grid",
 ]
+
+
+_BLOCK = 2 ** 18   # frequency-by-atom elements per block (a row if longer)
+
+
+def _atoms(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a finite (n, d) array and their weights counts / n.
+
+    The empirical measure (1/n) sum_i delta_{x_i} is exactly
+    sum_k w_k delta_{a_k}; rows are compared by their bytes, through one
+    sort of a contiguous void view.
+    """
+    if not np.all(np.isfinite(points)):
+        raise ValueError("all coordinates must be finite")
+    pts = np.ascontiguousarray(points)
+    rows = pts.view(np.dtype((np.void, pts.dtype.itemsize * pts.shape[1])))
+    _, first, counts = np.unique(rows.ravel(), return_index=True,
+                                 return_counts=True)
+    return pts[first], counts / pts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -37,13 +55,20 @@ class CharFunctionHandle:
     """Characteristic function of an empirical or analytic law.
 
     Exactly one of ``points`` (an (n, d) array, or a 1-d array of n points
-    in R^1: the empirical measure with uniform weights) or ``cf`` (a callable mapping an (m, d) array of
-    frequencies to complex values) must be given.
+    in R^1: the empirical measure with uniform weights) or ``cf`` (a
+    callable mapping an (m, d) array of frequencies to complex values)
+    must be given.  An empirical handle keeps its input ``points`` and
+    evaluates the same measure from its distinct rows ``atoms`` and their
+    ``weights``.
     """
 
     dimension: int
     points: Optional[np.ndarray] = None
     cf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    atoms: Optional[np.ndarray] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    weights: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         if (self.points is None) == (self.cf is None):
@@ -53,9 +78,10 @@ class CharFunctionHandle:
             if pts.shape[1] != self.dimension:
                 raise ValueError("points have dimension %d, expected %d"
                                  % (pts.shape[1], self.dimension))
-            if not np.all(np.isfinite(pts)):
-                raise ValueError("all coordinates must be finite")
+            atoms, weights = _atoms(pts)
             object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "atoms", atoms)
+            object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def from_points(points) -> "CharFunctionHandle":
@@ -65,14 +91,15 @@ class CharFunctionHandle:
     def values(self, T: np.ndarray) -> np.ndarray:
         """cf evaluated at frequencies T of shape (m, d)."""
         T = np.atleast_2d(np.asarray(T, dtype=float))
-        if self.points is not None:
-            out = np.empty(T.shape[0], dtype=complex)
-            chunk = max(1, 10_000_000 // max(self.points.shape[0], 1))
-            for lo in range(0, T.shape[0], chunk):
-                phase = T[lo:lo + chunk] @ self.points.T
-                out[lo:lo + chunk] = np.exp(1j * phase).mean(axis=1)
-            return out
-        return np.asarray(self.cf(T), dtype=complex)
+        if self.points is None:
+            return np.asarray(self.cf(T), dtype=complex)
+        out = np.empty(T.shape[0], dtype=complex)
+        rows = max(1, _BLOCK // self.atoms.shape[0])
+        for lo in range(0, T.shape[0], rows):
+            phase = T[lo:lo + rows] @ self.atoms.T
+            out.real[lo:lo + rows] = np.cos(phase) @ self.weights
+            out.imag[lo:lo + rows] = np.sin(phase) @ self.weights
+        return out
 
     def modulus(self, T: np.ndarray) -> np.ndarray:
         return np.abs(self.values(T))
@@ -121,11 +148,11 @@ def _directions(d: int, n_dirs: Optional[int]) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
-        m = n_dirs or 64
+        m = 64 if n_dirs is None else n_dirs
         ang = 2 * math.pi * (np.arange(m) + 0.5) / m
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if d == 3:
-        m = n_dirs or 256
+        m = 256 if n_dirs is None else n_dirs
         # Fibonacci sphere
         i = np.arange(m) + 0.5
         z = 1 - 2 * i / m
@@ -144,6 +171,9 @@ def scan_grid(d: int, R: float, T_max: float, n_radii: int = 512,
         raise ValueError("need 0 < R < T_max")
     if n_radii < 1:
         raise ValueError("grid resolution too coarse: no radii")
+    if n_dirs is not None and n_dirs < 1:
+        raise ValueError("need at least one scan direction, got %d"
+                         % n_dirs)
     radii = np.geomspace(R, T_max, n_radii + 1)[1:]
     return radii, _directions(d, n_dirs)
 
@@ -248,19 +278,42 @@ def mean_weak_cramer_scan(hs: Sequence[CharFunctionHandle], b: float,
 # ---------------------------------------------------------------------------
 # pairwise wrapped-square certificates
 
-def _wrap_sq(w: np.ndarray) -> np.ndarray:
-    """Elementwise inf over integers q of (w - 2 pi q)^2; ties go to +pi."""
-    y = w - 2 * math.pi * np.ceil(w / (2 * math.pi) - 0.5)
-    return y * y
+def _pairwise_xi_mean(atoms: np.ndarray, w: np.ndarray, n: int,
+                      T: np.ndarray) -> np.ndarray:
+    """Mean wrapped square over ordered pairs i != j, for each row t of T.
 
-
-def _pairwise_xi_mean(points: np.ndarray, t: np.ndarray) -> float:
-    """Mean of the wrapped squares over ordered pairs i != j."""
-    proj = points @ t
-    w = proj[:, None] - proj[None, :]
-    xi = _wrap_sq(w)
-    n = points.shape[0]
-    return float((xi.sum() - np.trace(xi)) / (n * (n - 1)))
+    The n points are the atoms with weights w (counts / n); the wrapped
+    square of a pair is inf over integers q of (t'(x_i - x_j) - 2 pi q)^2.
+    With y = t'a mod 2 pi sorted, a pair at gap g <= pi adds g^2 and a
+    wider pair adds (2 pi - g)^2.  Prefix sums of w, w y and w y^2 give
+    both windows of every atom at once; pairs within an atom add 0, so the
+    mean is n / (n - 1) sum_{k,l} w_k w_l xi_kl.  Cost O(m k log k) for k
+    atoms and m frequencies, in blocks of frequency rows.
+    """
+    k = atoms.shape[0]
+    out = np.empty(T.shape[0])
+    rows = max(1, _BLOCK // (2 * k))
+    for lo in range(0, T.shape[0], rows):
+        y = np.mod(T[lo:lo + rows] @ atoms.T, 2 * math.pi)
+        m = y.shape[0]
+        ranked = np.argsort(y, axis=1)
+        ys = np.take_along_axis(y, ranked, axis=1)
+        # merge the sorted queries ys - pi ahead of equal atoms: the i-th
+        # query lands after the far[i] atoms with ys < ys_i - pi, which are
+        # the atoms more than pi below atom i
+        order = np.argsort(np.concatenate([ys - math.pi, ys], axis=1),
+                           axis=1, kind="stable")
+        far = np.nonzero(order < k)[1].reshape(m, k) - np.arange(k)
+        ws = w[ranked]
+        P = np.zeros((3, m, k + 1))
+        np.cumsum([ws, ws * ys, ws * ys * ys], axis=2, out=P[:, :, 1:])
+        below = np.take_along_axis(P, far[None], axis=2)
+        near = P[:, :, :k] - below
+        z = 2 * math.pi - ys
+        xi = (ys * ys * near[0] - 2 * ys * near[1] + near[2]
+              + z * z * below[0] + 2 * z * below[1] + below[2])
+        out[lo:lo + m] = 2 * np.sum(ws * xi, axis=1)
+    return out * (n / (n - 1))
 
 
 def ustat_certificate(points, t, b: float, R: float) -> Tuple[float, dict]:
@@ -274,8 +327,9 @@ def ustat_certificate(points, t, b: float, R: float) -> Tuple[float, dict]:
     if n < 2:
         raise ValueError("need at least 2 points")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    S = _pairwise_xi_mean(pts, t) / math.pi ** 2
     h = CharFunctionHandle.from_points(pts)
+    S = float(_pairwise_xi_mean(h.atoms, h.weights, n, t[None, :])[0]
+              / math.pi ** 2)
     lhs = 1.0 - abs(eval_cf(h, t))
     record = {
         "t": [float(v) for v in t],
@@ -287,28 +341,6 @@ def ustat_certificate(points, t, b: float, R: float) -> Tuple[float, dict]:
         "R": R,
     }
     return S, record
-
-
-def c_kr_estimate(points, k: int, r: float, coord: int = 0) -> float:
-    """U-statistic estimate of the interval-anchored squared-gap moment.
-
-    Over ordered pairs (i1 != i2) with coordinate difference D: for even k
-    the kernel is (D - r k)^2 on D in (r k, r (k+1)], for odd k the anchor
-    moves to r (k+1).
-    """
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    pts = as_points(points)
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 points")
-    x = pts[:, coord]
-    D = x[:, None] - x[None, :]
-    inside = (D > r * k) & (D <= r * (k + 1))
-    anchor = r * k if k % 2 == 0 else r * (k + 1)
-    vals = (D - anchor) ** 2 * inside
-    np.fill_diagonal(vals, 0.0)
-    return float(vals.sum() / (n * (n - 1)))
 
 
 def c_r_lower_bound(points, R: float, t_grid) -> Tuple[float, np.ndarray]:
@@ -326,12 +358,10 @@ def c_r_lower_bound(points, R: float, t_grid) -> Tuple[float, np.ndarray]:
     norms = np.linalg.norm(t_grid, axis=1)
     if np.any(norms <= R):
         raise ValueError("all grid frequencies must satisfy ||t|| > R")
-    best, best_t = -1.0, t_grid[0]
-    for t in t_grid:
-        val = _pairwise_xi_mean(pts, t) / (2 * math.pi ** 2)
-        if val > best:
-            best, best_t = val, t
-    return best, best_t
+    atoms, w = _atoms(pts)
+    vals = _pairwise_xi_mean(atoms, w, pts.shape[0], t_grid)
+    i = int(np.argmax(vals))
+    return float(vals[i] / (2 * math.pi ** 2)), t_grid[i]
 
 
 def failure_prob_bound(c_R: float, n: int) -> float:

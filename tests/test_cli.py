@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgelab import bootstrap
-from edgelab.cli import main
+from edgelab.cli import _load_points, main
 
 
 def write_points(path, pts):
@@ -68,6 +68,20 @@ def test_nonpositive_target_margin_is_rejected(spread_csv, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "target margin c must be > 0" in captured.err
+
+
+def test_scans_refuse_fewer_than_one_direction(tmp_path, capsys):
+    """--grid-dirs 0 used to scan the default 64 directions and -3 to end
+    in numpy's argmin of an empty sequence."""
+    rng = np.random.default_rng(4)
+    path = write_points(tmp_path / "pts2d.csv", rng.normal(size=(50, 2)))
+    for command in ("cf-scan", "certify"):
+        for n_dirs in ("0", "-3"):
+            assert main([command, "--data", path, "--Tmax", "20",
+                         "--grid-dirs", n_dirs]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "need at least one scan direction" in captured.err
 
 
 def test_certify_spread_data(spread_csv, capsys):
@@ -239,6 +253,34 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["uniform-sweep", "--config", str(cfg)]) == 1
     assert "Infinity" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_csv_blank_lines_and_header_rows(tmp_path):
+    """Header rows and blank lines are skipped; numbers parse bit for bit
+    as Python's float does."""
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                          size=(40, 3))
+    rows = [",".join(repr(float(v)) for v in row) for row in vals]
+    path = tmp_path / "blank.csv"
+    path.write_text("x,y,z\n\nunits,m,s\n" + rows[0] + "\n\n"
+                    + "\n".join(rows[1:]) + "\n\n\n")
+    pts = _load_points(str(path))
+    assert pts.shape == (40, 3)
+    assert pts.tobytes() == vals.tobytes()
+
+
+def test_csv_bad_row_after_data_is_rejected(tmp_path, capsys):
+    late = tmp_path / "late.csv"
+    late.write_text("x\n0.1\n0.5\nn/a\n0.9\n")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0.1,0.2\n0.5,0.6,0.7\n")
+    for path, word in ((late, "'n/a'"), (ragged, "columns")):
+        for command in ("cf-scan", "certify"):
+            assert main([command, "--data", str(path), "--Tmax", "10"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert word in captured.err
 
 
 def test_non_finite_data_is_rejected(tmp_path, capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgelab.cramer import (CharFunctionHandle, _wrap_sq, c_kr_estimate,
+from edgelab import cramer
+from edgelab.cramer import (CharFunctionHandle, _atoms, _pairwise_xi_mean,
                             c_r_lower_bound, eval_cf, failure_prob_bound,
                             mean_weak_cramer_scan, scan_grid,
                             ustat_certificate, weak_cramer_scan)
@@ -12,6 +14,25 @@ from edgelab.cramer import (CharFunctionHandle, _wrap_sq, c_kr_estimate,
 def gaussian_handle(d=1):
     return CharFunctionHandle(
         d, cf=lambda T: np.exp(-0.5 * np.sum(np.asarray(T) ** 2, axis=1)))
+
+
+def wrap_sq(w):
+    """Elementwise inf over integers q of (w - 2 pi q)^2; ties go to +pi."""
+    y = w - 2 * math.pi * np.ceil(w / (2 * math.pi) - 0.5)
+    return y * y
+
+
+def pairwise_xi_mean_reference(points, t):
+    """The O(n^2) mean wrapped square over ordered pairs i != j."""
+    proj = points @ t
+    xi = wrap_sq(proj[:, None] - proj[None, :])
+    n = points.shape[0]
+    return float((xi.sum() - np.trace(xi)) / (n * (n - 1)))
+
+
+def pairwise_xi_mean(points, T):
+    pts = np.asarray(points, dtype=float)
+    return _pairwise_xi_mean(*_atoms(pts), pts.shape[0], np.atleast_2d(T))
 
 
 # -- handles ----------------------------------------------------------------
@@ -37,8 +58,6 @@ def test_one_dimensional_array_is_points_on_the_line():
     S_flat, _ = ustat_certificate(vals, [2.0], b=1.0, R=1.0)
     S_col, _ = ustat_certificate(vals[:, None], [2.0], b=1.0, R=1.0)
     assert S_flat == S_col
-    assert c_kr_estimate(vals, k=0, r=0.5) == c_kr_estimate(vals[:, None],
-                                                            k=0, r=0.5)
 
 
 def test_empirical_cf_at_zero_is_one():
@@ -47,12 +66,39 @@ def test_empirical_cf_at_zero_is_one():
     assert eval_cf(h, [0.0, 0.0]) == pytest.approx(1.0)
 
 
+def test_atoms_weigh_repeated_rows():
+    pts = np.array([[0.5, 1.0], [0.0, 2.0], [0.5, 1.0], [0.5, 1.0]])
+    atoms, w = _atoms(pts)
+    table = {tuple(a): wk for a, wk in zip(atoms, w)}
+    assert table == {(0.5, 1.0): 0.75, (0.0, 2.0): 0.25}
+
+
 def test_empirical_cf_matches_direct_sum():
     pts = np.array([[0.1], [0.5], [-1.2]])
     h = CharFunctionHandle.from_points(pts)
     t = 0.8
     direct = np.mean(np.exp(1j * t * pts[:, 0]))
     assert eval_cf(h, [t]) == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("block", [None, 200])
+def test_blocked_kernels_match_direct_sums_on_repeated_rows(block,
+                                                            monkeypatch):
+    """Atom weights and frequency blocks give the plain mean of exp(i t'x)
+    and the pair loop's mean; a block of 200 elements holds 6 frequencies
+    of the cf and 3 of the pair sums over the 30 atoms."""
+    if block is not None:
+        monkeypatch.setattr(cramer, "_BLOCK", block)
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(30, 2))[rng.integers(0, 30, 500)]
+    T = rng.uniform(-50, 50, size=(1000, 2))
+    h = CharFunctionHandle.from_points(pts)
+    assert h.atoms.shape == (30, 2) and h.points.shape == (500, 2)
+    direct = np.exp(1j * T @ pts.T).mean(axis=1)
+    assert np.max(np.abs(h.values(T) - direct)) <= 1e-14
+    pairs = _pairwise_xi_mean(h.atoms, h.weights, 500, T[:40])
+    ref = [pairwise_xi_mean_reference(pts, t) for t in T[:40]]
+    assert np.max(np.abs(pairs - ref)) <= 1e-12 * np.pi ** 2
 
 
 # -- grids ------------------------------------------------------------------
@@ -70,6 +116,10 @@ def test_scan_grid_validation():
         scan_grid(1, 5.0, 2.0)
     with pytest.raises(ValueError):
         scan_grid(4, 1.0, 10.0)
+    for d in (1, 2, 3):
+        for n_dirs in (0, -3):
+            with pytest.raises(ValueError, match="scan direction"):
+                scan_grid(d, 1.0, 10.0, n_dirs=n_dirs)
 
 
 def test_fibonacci_sphere_is_unit():
@@ -148,18 +198,47 @@ def test_both_scans_refuse_nonpositive_b(b):
 # -- wrapped-square certificates --------------------------------------------
 
 def test_xi_wrap_range_and_exactness():
+    # two points w apart at t = 1: each ordered pair adds the wrapped square
     rng = np.random.default_rng(3)
     for _ in range(200):
         w = rng.uniform(-40, 40)
-        xi = _wrap_sq(np.array([w]))[0]
+        xi = pairwise_xi_mean([[0.0], [w]], [[1.0]])[0]
         brute = min((w - 2 * math.pi * q) ** 2 for q in range(-10, 11))
         assert 0.0 <= xi <= math.pi ** 2 + 1e-12
         assert xi == pytest.approx(brute, abs=1e-10)
 
 
 def test_xi_wrap_at_multiples_is_zero():
-    assert _wrap_sq(np.array([4 * math.pi]))[0] == pytest.approx(0.0,
-                                                              abs=1e-20)
+    assert pairwise_xi_mean([[0.0], [4 * math.pi]], [[1.0]])[0] == \
+        pytest.approx(0.0, abs=1e-20)
+
+
+def _points(kind, n, d, rng):
+    if kind == "random":
+        return rng.uniform(-2, 2, size=(n, d))
+    if kind == "lattice":
+        return 0.4 * rng.integers(-5, 6, size=(n, d))
+    if kind == "atoms":
+        return rng.uniform(-2, 2, size=(3, d))[rng.integers(0, 3, n)]
+    return np.tile(rng.uniform(-2, 2, size=(1, d)), (n, 1))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["random", "lattice", "atoms", "equal"]),
+       st.integers(min_value=2, max_value=60),
+       st.integers(min_value=1, max_value=3),
+       st.floats(min_value=0.0, max_value=200.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_sorted_window_matches_pair_loop(kind, n, d, radius, seed):
+    """The sorted-window pair sum equals the O(n^2) loop at every t."""
+    rng = np.random.default_rng(seed)
+    pts = _points(kind, n, d, rng)
+    u = rng.normal(size=(5, d))
+    T = radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+    got = pairwise_xi_mean(pts, T)
+    for t, g in zip(T, got):
+        ref = pairwise_xi_mean_reference(pts, t)
+        assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_ustat_soundness_random():
@@ -182,27 +261,6 @@ def test_ustat_tight_for_antipodal_points():
     assert rec["one_minus_modulus"] == pytest.approx(1.0)
 
 
-def test_c_kr_worked_example():
-    # pair gap 0.3 inside (0, 0.5] anchored at 0 gives 0.09; the two
-    # ordered pairs average to 0.045
-    pts = np.array([[0.0], [0.3]])
-    assert c_kr_estimate(pts, k=0, r=0.5) == pytest.approx(0.045)
-
-
-def test_c_kr_odd_anchor():
-    # gap 0.8 in (0.5, 1.0], odd k anchors at r(k+1) = 1.0
-    pts = np.array([[0.0], [0.8]])
-    val = c_kr_estimate(pts, k=1, r=0.5)
-    assert val == pytest.approx((0.8 - 1.0) ** 2 / 2)
-
-
-def test_c_kr_validation():
-    with pytest.raises(ValueError):
-        c_kr_estimate(np.zeros((2, 1)), k=0, r=0.0)
-    with pytest.raises(ValueError):
-        c_kr_estimate(np.zeros((1, 1)), k=0, r=1.0)
-
-
 def test_c_r_lower_bound_and_prob():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(80, 1))
@@ -213,6 +271,22 @@ def test_c_r_lower_bound_and_prob():
     p = failure_prob_bound(val, 80)
     assert 0 < p < 1
     assert p == pytest.approx(math.exp(-val ** 2 * 80 / 2))
+
+
+def test_c_r_lower_bound_in_memory_linear_in_n():
+    """2e5 normal points: a pair matrix would need 320 GB per frequency,
+    the sorted windows O(n).  For X, Y independent N(0, I), t'(X - Y) is
+    N(0, 2 |t|^2), so the pair mean is near E wrap_sq(N(0, 2 |t|^2))."""
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(200_000, 2))
+    grid = np.array([[1.2, 0.0], [0.0, 1.5], [-1.0, 1.4], [3.0, -1.0]])
+    val, t_star = c_r_lower_bound(pts, R=1.0, t_grid=grid)
+    z = np.linspace(-12, 12, 200_001)
+    density = np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+    law = [np.sum(wrap_sq(math.sqrt(2) * np.linalg.norm(t) * z) * density)
+           * (z[1] - z[0]) for t in grid]
+    assert val == pytest.approx(max(law) / (2 * math.pi ** 2), abs=2e-3)
+    assert np.array_equal(t_star, grid[int(np.argmax(law))])
 
 
 def test_c_r_lower_bound_rejects_small_frequencies():
