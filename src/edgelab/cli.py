@@ -29,24 +29,53 @@ def _out_dir(path: str | None) -> str:
     return base
 
 
+def _not_a_number(cells):
+    """The first cell that is not a number, or None."""
+    for v in cells:
+        try:
+            float(v)
+        except ValueError:
+            return v
+    return None
+
+
 def _load_points(path: str) -> np.ndarray:
     """Points from a CSV file, one per row, after any non-numeric header
-    rows; blank lines are skipped."""
+    rows; blank lines are skipped.  A bad row is reported by its 1-based
+    line in the file."""
     header = 0
     with open(path, newline="") as fh:
         for line in fh:
-            try:
-                row = [float(v) for v in next(csv.reader([line]), [])]
-            except ValueError:
-                row = []
-            if row:
+            cells = next(csv.reader([line]), [])
+            if cells and _not_a_number(cells) is None:
                 break
             header += 1
         else:
             raise ValueError("no numeric rows in %s" % path)
-    pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=header,
-                     comments=None, quotechar='"')
+    try:
+        pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=header,
+                         comments=None, quotechar='"')
+    except ValueError as exc:
+        raise ValueError(_bad_row(path, header, len(cells))
+                         or "%s: %s" % (path, exc)) from None
     return bl.Dataset(pts).points
+
+
+def _bad_row(path: str, header: int, width: int):
+    """Where and why a data row after the header is not `width` numbers,
+    or None when every row is."""
+    with open(path, newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            cells = next(csv.reader([line]), [])
+            if lineno <= header or not cells:
+                continue
+            bad = _not_a_number(cells)
+            if bad is not None:
+                return "%s line %d: %r is not a number" % (path, lineno, bad)
+            if len(cells) != width:
+                return ("%s line %d: %d columns, expected %d"
+                        % (path, lineno, len(cells), width))
+    return None
 
 
 def _reject_constant(name: str):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cumulants import as_points
 
@@ -178,17 +177,41 @@ def scan_grid(d: int, R: float, T_max: float, n_radii: int = 512,
     return radii, _directions(d, n_dirs)
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_REFINE_STEPS = 200   # the bracket shrinks by 0.618 per step
+
+
 def _refine_radius(modulus_fn, direction: np.ndarray, b: float,
                    r_lo: float, r_hi: float) -> Tuple[float, float, float]:
-    """Minimize slack(r) = (1 - |cf(r u)|) r^b over [r_lo, r_hi]."""
-    def slack(r):
+    """Minimize slack(r) = (1 - |cf(r u)|) r^b over [r_lo, r_hi] by a
+    golden-section search; returns the radius, its modulus and its slack.
+
+    The slack is flat to rounding near its minimum, so the search stops
+    once the bracket is narrower than sqrt(eps) r + 1e-12 (about 1.5e-8
+    relative), where c is exact to rounding and the radius is not.  The
+    step cap ends it where float spacing keeps the bracket from
+    shrinking further.
+    """
+    def point(r):
         m = float(modulus_fn((r * direction)[None, :])[0])
-        return (1.0 - min(m, 1.0)) * r ** b
-    res = minimize_scalar(slack, bounds=(r_lo, r_hi), method="bounded",
-                          options={"xatol": 1e-12})
-    r = float(res.x)
-    m = float(modulus_fn((r * direction)[None, :])[0])
-    return r, m, (1.0 - min(m, 1.0)) * r ** b
+        return (1.0 - min(m, 1.0)) * r ** b, r, m
+
+    # the better inner point is kept at each step, so it is the best seen
+    lo, hi = r_lo, r_hi
+    x1 = point(hi - _GOLDEN * (hi - lo))
+    x2 = point(lo + _GOLDEN * (hi - lo))
+    for _ in range(_REFINE_STEPS):
+        if hi - lo < _SQRT_EPS * hi + 1e-12:
+            break
+        if x1 < x2:
+            hi, x2 = x2[1], x1
+            x1 = point(hi - _GOLDEN * (hi - lo))
+        else:
+            lo, x1 = x1[1], x2
+            x2 = point(lo + _GOLDEN * (hi - lo))
+    slack, r, m = min(x1, x2)
+    return r, m, slack
 
 
 def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
@@ -250,9 +273,10 @@ def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
     on-grid margin, or a violation witness when a target ``c`` (which must
     be > 0) is supplied and undercut.  When |cf| is 1 within 1e-12 at the
     minimizer, as on lattice data, the status is "no-margin".  The grid
-    minimum is polished by bounded 1-d minimization along the worst
-    direction, so lattice spikes where |cf| -> 1 are located to high
-    accuracy.
+    minimum is polished by a golden-section search along the worst
+    direction, between the neighbouring grid radii.  The slack is flat to
+    rounding near its minimum, so the search locates the witness radius
+    to about 1.5e-8 relative (sqrt(eps)) and the margin c to rounding.
     """
     return _scan(h.modulus, h.dimension, b, R, T_max, n_radii, n_dirs,
                  c, refine)

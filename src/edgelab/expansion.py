@@ -10,11 +10,10 @@ polynomial coefficient tables double as Hermite coefficient tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt, pi, inf
+from math import erfc, exp, factorial, gamma, inf, pi, sqrt
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammainc, gamma as gamma_fn, ndtr
 
 from .cumulants import CumulantSet, MultiIndex, chi_poly
 from .jets import series_mul
@@ -326,6 +325,16 @@ class MeasureResult:
     method: str
 
 
+def _ndtr(x: np.ndarray):
+    """Standard normal CDF, erfc(-x / sqrt 2) / 2: a float for a 0-d array,
+    else an array filled by one elementwise pass; exactly 0 and 1 at -inf
+    and +inf."""
+    if x.ndim == 0:
+        return 0.5 * erfc(-float(x) / sqrt(2.0))
+    z = (np.negative(x, dtype=float) / sqrt(2.0)).ravel().tolist()
+    return 0.5 * np.fromiter(map(erfc, z), float, x.size).reshape(x.shape)
+
+
 def _hermite_interval(K: int, a, b) -> np.ndarray:
     """Integrals of He_k(u) phi(u) over [a, b] for k = 0..K, stacked along
     the first axis; a and b broadcast and may be infinite.
@@ -345,7 +354,7 @@ def _hermite_interval(K: int, a, b) -> np.ndarray:
                 * np.where(live, gauss, 0.0) / sqrt(2 * pi))
 
     out = np.empty((K + 1,) + a.shape)
-    out[0] = ndtr(b) - ndtr(a)
+    out[0] = _ndtr(b) - _ndtr(a)
     if K >= 1:
         out[1:] = tail(a) - tail(b)
     return out
@@ -359,29 +368,58 @@ def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
                      [_hermite_interval(K, a, b) for a, b in zip(low, high)])
 
 
-def _monomial_ball_integral(mu: MultiIndex, r: float) -> float:
-    """Integral of x^mu phi(x) over the centered ball of radius r."""
-    if any(p % 2 for p in mu):
-        return 0.0
-    d = len(mu)
-    a = sum(mu) + d
-    ang = 2.0
-    for p in mu:
-        ang *= gamma_fn((p + 1) / 2.0)
-    ang /= gamma_fn(a / 2.0)
-    radial = 2.0 ** (a / 2.0 - 1.0) * gammainc(a / 2.0, r * r / 2.0) \
-        * gamma_fn(a / 2.0)
-    return ang * radial / (2 * pi) ** (d / 2.0)
+def _lower_gamma_regularized(s: float, x: float) -> float:
+    """P(s, x) = gamma(s, x) / Gamma(s) for an integer or half-integer
+    s > 0 and x >= 0.
+
+    Below x = s + 1 the series x^s e^-x sum_k x^k / (s)_{k+1} converges
+    fast and has positive terms.  Above it Q = 1 - P is summed upward by
+    Q(j + 1, x) = Q(j, x) + e^-x x^j / Gamma(j + 1), from
+    Q(1/2, x) = erfc(sqrt x) for half-integer s and from 0 at j = 0 for
+    integer s; there Q is below about 1/2, so 1 - Q does not cancel.
+    """
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        k = s
+        while term > 1e-17 * total:
+            k += 1.0
+            term *= x / k
+            total += term
+        return x ** s * exp(-x) * total / gamma(s)
+    if s % 1.0:
+        j, q, term = 0.5, erfc(sqrt(x)), exp(-x) * sqrt(x) / gamma(1.5)
+    else:
+        j, q, term = 0.0, 0.0, exp(-x)
+    while j < s:
+        q += term
+        j += 1.0
+        term *= x / j
+    return 1.0 - q
 
 
 def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
+    """Measure of the centered ball of radius r.  In polar coordinates
+    x^mu phi(x) integrates over the ball to 0 when some mu_k is odd, and
+    otherwise to 2^(a/2) prod_k Gamma((mu_k + 1)/2) P(a/2, r^2/2)
+    / (2 pi)^(d/2) with a = |mu| + d; the radial factor depends on mu only
+    through a, so it is computed once per degree."""
+    d = e.dimension
+    radial: Dict[int, float] = {}
     total = 0.0
     for j, tab in e.hermite_coeffs.items():
-        mono = _basis_change(tab)
         scale = e.n ** (-j / 2.0)
-        for mu, c in mono.items():
-            total += scale * c * _monomial_ball_integral(mu, r)
-    return float(total)
+        for mu, c in _basis_change(tab).items():
+            if any(p % 2 for p in mu):
+                continue
+            a = sum(mu) + d
+            if a not in radial:
+                radial[a] = 2.0 ** (a / 2.0) * _lower_gamma_regularized(
+                    a / 2.0, r * r / 2.0)
+            ang = 1.0
+            for p in mu:
+                ang *= gamma((p + 1) / 2.0)
+            total += scale * c * ang * radial[a]
+    return total / (2 * pi) ** (d / 2.0)
 
 
 def _halfspace_measure(e: EdgeworthExpansion, normal, offset: float) -> float:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,46 @@ def test_csv_bad_row_after_data_is_rejected(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert word in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n1\n2\nfoo\n", "line 4: 'foo' is not a number"),
+    ("0.1,0.2\n0.5,0.6,0.7\n", "line 2: 3 columns, expected 2"),
+])
+def test_csv_bad_row_names_its_file_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["cf-scan", "--data", str(path), "--Tmax", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s %s\n" % (path, message)
+    assert "usecols" not in err
+
+
+def test_cli_does_not_import_scipy(tmp_path):
+    """scipy is a test dependency only: certify and rate-study run in a
+    fresh interpreter without loading it."""
+    data = write_points(tmp_path / "pts.csv",
+                        np.array([0.0, 1.0, math.sqrt(2.0)] * 20)[:, None])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": "centered-exponential", "s": 3,
+        "n_grid": [25, 50, 100, 200], "M": 2000, "seed": 0,
+        "out": str(tmp_path / "out")}))
+    script = """
+import sys
+import edgelab.cli
+for argv in (["certify", "--data", sys.argv[1], "--Tmax", "20",
+              "--grid-radii", "32"],
+             ["rate-study", "--config", sys.argv[2]]):
+    assert edgelab.cli.main(argv) in (0, 2), argv
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, data, str(cfg)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_non_finite_data_is_rejected(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from edgelab import cramer
 from edgelab.cramer import (CharFunctionHandle, _atoms, _pairwise_xi_mean,
@@ -184,6 +186,79 @@ def test_mean_scan_averages_moduli():
     assert double.c == pytest.approx(single.c, rel=1e-12)
     with pytest.raises(ValueError):
         mean_weak_cramer_scan([], 1.0, 1.0, 20.0)
+
+
+def bowl_modulus(r0, calls):
+    """A 1-d modulus whose slack at b = 1 is 0.5 + ((r - r0) / r0)^2."""
+    def modulus(T):
+        r = abs(float(T[0, 0]))
+        calls.append(r)
+        return np.array([1.0 - (0.5 + ((r - r0) / r0) ** 2) / r])
+    return modulus
+
+
+@pytest.mark.parametrize("r0", [1.23e-3, 7.5, 1e6 + 0.25])
+def test_refine_finds_the_minimum_and_stops(r0):
+    calls = []
+    modulus = bowl_modulus(r0, calls)
+    r, m, slack = cramer._refine_radius(modulus, np.array([1.0]), 1.0,
+                                        0.7 * r0, 1.5 * r0)
+    # rounding in 1 - |cf| blurs the minimum, most near 1e6
+    assert abs(r - r0) <= 1e-4 * r0
+    assert slack == pytest.approx(0.5, abs=1e-8)
+    assert m == modulus(np.array([[r]]))[0]
+    # the sqrt(eps) r + 1e-12 bracket rule ends the search, not the cap
+    assert len(calls) < 60
+
+
+def test_refine_step_cap_bounds_the_search(monkeypatch):
+    """Without the sqrt(eps) term the 1e-12 bracket is finer than the
+    float spacing near 1e6 (1.2e-10); the step cap still ends the
+    search."""
+    monkeypatch.setattr(cramer, "_SQRT_EPS", 0.0)
+    calls = []
+    cramer._refine_radius(bowl_modulus(1e6, calls), np.array([1.0]), 1.0,
+                          0.7e6, 1.5e6)
+    assert len(calls) == cramer._REFINE_STEPS + 2
+
+
+# The benchmark's certify data: 300 draws from six 2-d atoms, no two
+# differences on a common lattice, and 60 points of a 1-d lattice.
+CERTIFY_ATOMS = np.array([
+    [0.0, 0.0], [1.0, math.sqrt(2)], [math.sqrt(3), 0.5],
+    [-math.sqrt(5) / 2, 1.0], [math.pi / 3, -math.sqrt(7) / 3],
+    [math.e / 2, math.sqrt(11) / 4]])
+
+
+def bounded_refine_reference(modulus_fn, direction, b, r_lo, r_hi):
+    """The refinement by scipy's bounded minimization."""
+    def slack(r):
+        m = float(modulus_fn((r * direction)[None, :])[0])
+        return (1.0 - min(m, 1.0)) * r ** b
+    r = float(minimize_scalar(slack, bounds=(r_lo, r_hi), method="bounded",
+                              options={"xatol": 1e-12}).x)
+    m = float(modulus_fn((r * direction)[None, :])[0])
+    return r, m, (1.0 - min(m, 1.0)) * r ** b
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_refined_margin_matches_bounded_minimization(seed, monkeypatch):
+    rng = np.random.default_rng([seed, zlib.crc32(b"certify")])
+    h2 = CharFunctionHandle.from_points(
+        CERTIFY_ATOMS[rng.integers(0, len(CERTIFY_ATOMS), 300)])
+    h1 = CharFunctionHandle.from_points((np.arange(60) % 5).astype(float))
+    ours = [weak_cramer_scan(h2, 1.0, 1.0, 200.0),
+            weak_cramer_scan(h1, 1.0, 1.0, 50.0)]
+    monkeypatch.setattr(cramer, "_refine_radius", bounded_refine_reference)
+    ref = [weak_cramer_scan(h2, 1.0, 1.0, 200.0),
+           weak_cramer_scan(h1, 1.0, 1.0, 50.0)]
+    assert ours[0].status == ref[0].status == "certified-on-grid"
+    assert ours[0].c == pytest.approx(ref[0].c, rel=1e-12, abs=0)
+    # the witness radius is located only to about sqrt(eps) relative
+    assert np.allclose(ours[0].witness, ref[0].witness, rtol=1e-7, atol=0)
+    # the lattice spike: both find |cf| = 1 and no margin
+    assert ours[1].status == ref[1].status == "no-margin"
+    assert 0.0 <= ours[1].c <= 1e-12 and 0.0 <= ref[1].c <= 1e-12
 
 
 @pytest.mark.parametrize("b", [-1.0, 0.0])

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from math import factorial, sqrt, pi
 
@@ -6,14 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn, gammainc, ndtr
 from scipy.stats import norm
 
 from edgelab.cumulants import (CumulantSet, chi_poly,
                                enumerate_multi_indices, multi_factorial)
-from edgelab.expansion import (EdgeworthExpansion, SetSpec, build_expansion,
-                               default_probe_grid, gaussian_oscillation,
-                               hermite_tensor, hermite_value, m_s_norm,
-                               pj_polynomial, set_measure)
+from edgelab.expansion import (EdgeworthExpansion, SetSpec,
+                               _lower_gamma_regularized, _ndtr,
+                               build_expansion, default_probe_grid,
+                               gaussian_oscillation, hermite_tensor,
+                               hermite_value, m_s_norm, pj_polynomial,
+                               set_measure)
 
 
 def standardized_cumulants(d, s, rng, scale=0.4):
@@ -251,6 +255,39 @@ def test_weight_reduces_to_one_for_gaussian():
     e = build_expansion(CumulantSet(1, 4, table, standardized=True), 10, 4)
     x = np.linspace(-3, 3, 7)[:, None]
     assert np.allclose(e.weight(x), 1.0)
+
+
+# -- scalar special functions (scipy is the oracle) -------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(-40.0, 40.0),
+                 st.sampled_from([-math.inf, math.inf])))
+def test_ndtr_matches_scipy(x):
+    got = _ndtr(np.asarray(x))
+    assert abs(got - ndtr(x)) <= 4.4e-16
+    if math.isinf(x):
+        assert got == (x > 0)
+    # the array pass gives the scalar's bits
+    assert _ndtr(np.array([[x, -x]])).tolist() == [[got, _ndtr(
+        np.asarray(-x))]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.one_of(st.floats(0.0, 60.0),
+                 st.floats(0.0, 60.0).map(lambda r: r * r / 2.0)))
+def test_lower_incomplete_gamma_matches_scipy(two_s, x):
+    """gamma(s, x) for integer and half-integer s <= 20, at x in [0, 60]
+    and at x = r^2 / 2 for ball radii r in [0, 60].  Below about 1e-300
+    scipy's value underflows to 0 before ours does, so values that small
+    are only required to be tiny."""
+    s = two_s / 2.0
+    ref = gammainc(s, x) * gamma_fn(s)
+    got = _lower_gamma_regularized(s, x) * math.gamma(s)
+    if ref < 1e-280:
+        assert 0.0 <= got < 1e-279
+    else:
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 # -- signed set measures ----------------------------------------------------
