@@ -6,18 +6,17 @@ __version__ = "0.1.0"
 from .cumulants import (CumulantSet, MomentSet,
                         averaged_standardized_cumulants, chi_poly,
                         cumulants_to_moments, enumerate_multi_indices,
-                        moments_to_cumulants, raw_moments_from_function,
-                        raw_moments_from_points)
+                        moments_to_cumulants, raw_moments_from_points)
 from .expansion import (EdgeworthExpansion, SetSpec, build_expansion,
-                        gaussian_oscillation, hermite_tensor, hermite_value,
-                        m_s_norm, pj_polynomial, set_measure)
+                        hermite_tensor, hermite_value, pj_polynomial,
+                        set_measure)
 from .cramer import (CharFunctionHandle, CramerCertificate, c_r_lower_bound,
                      eval_cf, failure_prob_bound, mean_weak_cramer_scan,
                      ustat_certificate, weak_cramer_scan)
-from .bootstrap import (Dataset, EventFlags, SampleStats, bootstrap_draws,
+from .bootstrap import (EventFlags, SampleStats, bootstrap_draws,
                         empirical_edgeworth, enlargement_deviation,
                         event_checks, g_value_and_jet, sample_stats,
                         sup_deviation, tstat_bootstrap)
-from .families import Family, make_family, register_builtin_families
+from .families import Family, make_family
 from .harness import (StudyRecord, StudyReport, emit_report, exact_sum_cdf_mc,
                       rate_study, uniform_sweep)

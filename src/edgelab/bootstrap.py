@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +20,6 @@ from .expansion import EdgeworthExpansion, SetSpec, build_expansion
 from .jets import series_mul, series_pow
 
 __all__ = [
-    "Dataset",
     "SampleStats",
     "EventFlags",
     "sample_stats",
@@ -48,33 +47,6 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """n points in R^d with uniform weights."""
-
-    points: np.ndarray
-    family: Optional[str] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        pts = as_points(self.points)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("all coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-
-def _as_points(data) -> np.ndarray:
-    return data.points if isinstance(data, Dataset) else as_points(data)
-
-
-@dataclass(frozen=True)
 class SampleStats:
     mean: np.ndarray
     cov: np.ndarray
@@ -87,7 +59,7 @@ class SampleStats:
 
 
 def sample_stats(data, s: int) -> SampleStats:
-    pts = _as_points(data)
+    pts = as_points(data)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -113,26 +85,30 @@ def sqrt_spd(V: np.ndarray) -> np.ndarray:
 
 
 def bootstrap_draws(data, B: int, seed: int = 0,
-                    stream_key: Tuple[int, ...] = (),
-                    workers: Optional[int] = None) -> np.ndarray:
+                    stream_key: Tuple[int, ...] = ()) -> np.ndarray:
     """B draws of sqrt(n) Vhat^{-1/2} (bootstrap mean - sample mean).
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
-    so the output is bit-identical for any number of worker threads
-    (workers; None means every available CPU).
+    so the output is bit-identical for any number of worker threads;
+    resampling runs on every available CPU.
     """
-    pts = _as_points(data)
+    pts = as_points(data)
     n = pts.shape[0]
-    stats = sample_stats(pts, 2) if n >= 2 else None
-    if stats is None or stats.lam_min <= 0:
-        raise ValueError("sample covariance is singular; cannot standardize")
-    A = inv_sqrt_spd(stats.cov)
+    stats, A = _standardizer(pts)
 
     def standardize(means):
         return sqrt(n) * (means - stats.mean) @ A.T
 
     return _resample(pts, B, seed, stream_key, lambda res: res.mean(axis=1),
-                     finish=standardize, workers=workers)
+                     finish=standardize)
+
+
+def _standardizer(pts: np.ndarray) -> Tuple[SampleStats, np.ndarray]:
+    """The sample statistics of pts and Vhat^{-1/2}."""
+    stats = sample_stats(pts, 2) if pts.shape[0] >= 2 else None
+    if stats is None or stats.lam_min <= 0:
+        raise ValueError("sample covariance is singular; cannot standardize")
+    return stats, inv_sqrt_spd(stats.cov)
 
 
 def _available_cpus() -> int:
@@ -145,22 +121,18 @@ def _available_cpus() -> int:
 
 def _resample(values: np.ndarray, B: int, seed: int,
               stream_key: Tuple[int, ...], reduce: Callable,
-              finish: Optional[Callable] = None,
-              workers: Optional[int] = None) -> np.ndarray:
+              finish: Optional[Callable] = None) -> np.ndarray:
     """B resamples of the rows of values, reduced row by row.
 
     Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
     (seed, *stream_key, ci), in row blocks of about _BLOCK indices, each
     passed to reduce; finish, if given, maps the chunk's concatenated
-    output.  Chunks run on min(chunks, workers) threads (None: every
-    available CPU) and are joined in chunk order, so the output does not
-    depend on workers.  reduce must treat rows independently.
+    output.  Chunks run on one thread per available CPU (at most one per
+    chunk) and are joined in chunk order, so the output does not depend on
+    the CPU count.  reduce must treat rows independently.
     """
-    workers = _available_cpus() if workers is None else workers
     if B < 1:
         raise ValueError("B must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     n = values.shape[0]
     rows = max(1, _BLOCK // n)
 
@@ -173,23 +145,20 @@ def _resample(values: np.ndarray, B: int, seed: int,
         return out if finish is None else finish(out)
 
     n_chunks = -(-B // _CHUNK)
-    with ThreadPoolExecutor(max_workers=min(n_chunks, workers)) as pool:
+    threads = min(n_chunks, _available_cpus())
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(list(pool.map(chunk, range(n_chunks))))
 
 
 def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:
     """Expansion built from the standardized empirical cumulants at size n."""
-    pts = _as_points(data)
-    n = pts.shape[0]
-    stats = sample_stats(pts, 2)
-    if stats.lam_min <= 0:
-        raise ValueError("sample covariance is singular; cannot standardize")
-    A = inv_sqrt_spd(stats.cov)
+    pts = as_points(data)
+    n, d = pts.shape
+    stats, A = _standardizer(pts)
     std_pts = (pts - stats.mean) @ A.T
     cums = moments_to_cumulants(raw_moments_from_points(std_pts, s))
     table = dict(cums.table)
     # exact standardization up to float rounding; pin the order-1/2 entries
-    d = pts.shape[1]
     for nu in table:
         o = sum(nu)
         if o == 1:
@@ -208,13 +177,6 @@ class EventFlags:
     e3: Optional[bool]
     stats: SampleStats
     jet_max: Optional[float] = None
-    thresholds: Dict[str, float] = field(default_factory=dict)
-
-    def all_hold(self) -> bool:
-        flags = [self.e0, self.e1, self.e2]
-        if self.e3 is not None:
-            flags.append(self.e3)
-        return all(flags)
 
 
 def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
@@ -226,14 +188,13 @@ def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
     for name, v in (("rho_bar", rho_bar), ("c1", c1), ("c2", c2)):
         if v <= 0:
             raise ValueError("%s must be > 0" % name)
-    pts = _as_points(data)
+    pts = as_points(data)
     stats = sample_stats(pts, s)
     e0 = stats.abs_moment <= rho_bar
     e1 = stats.lam_min >= c1
     e2 = stats.max_mixed_moment <= c2
     e3 = None
     jet_max = None
-    thresholds = {"rho_bar": rho_bar, "c1": c1, "c2": c2}
     if c3 is not None:
         if wbar is None:
             raise ValueError("the jet event needs the reference mean wbar")
@@ -242,10 +203,9 @@ def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
         jet = g_value_and_jet(stats.mean, wbar, order=s + 3)
         jet_max = max(abs(v) for v in jet.values())
         e3 = (jet_max <= c3) and (stats.lam_max <= c3)
-        thresholds["c3"] = c3
     return EventFlags(e0=bool(e0), e1=bool(e1), e2=bool(e2),
                       e3=e3 if e3 is None else bool(e3),
-                      stats=stats, jet_max=jet_max, thresholds=thresholds)
+                      stats=stats, jet_max=jet_max)
 
 
 def g_value_and_jet(xbar, wbar: float,

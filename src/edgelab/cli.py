@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -17,16 +18,33 @@ import numpy as np
 
 from . import bootstrap as bl
 from . import cramer
+from .cumulants import as_points
 from .expansion import SetSpec, build_expansion, set_measure
 from .families import make_family
-from .harness import (StudyReport, default_t_grid, dkw_halfwidth,
-                      ecdf_on_grid, emit_report, rate_study, uniform_sweep)
+from .harness import (default_t_grid, dkw_halfwidth, ecdf_on_grid,
+                      emit_report, rate_study, uniform_sweep)
 
 
 def _out_dir(path: str | None) -> str:
     base = path or os.environ.get("EDGELAB_OUT", ".")
     os.makedirs(base, exist_ok=True)
     return base
+
+
+def _print_json(obj, path: str | None = None) -> None:
+    """Print obj as indented strict JSON, also to the file path if given."""
+    text = json.dumps(obj, indent=1, allow_nan=False)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
+def _need(obj, key: str, where: str):
+    """obj[key], or a ValueError naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError("%s has no %r" % (where, key))
+    return obj[key]
 
 
 def _not_a_number(cells):
@@ -58,7 +76,7 @@ def _load_points(path: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(_bad_row(path, header, len(cells))
                          or "%s: %s" % (path, exc)) from None
-    return bl.Dataset(pts).points
+    return as_points(pts)
 
 
 def _bad_row(path: str, header: int, width: int):
@@ -82,22 +100,45 @@ def _reject_constant(name: str):
     raise ValueError("the config holds %s: numbers must be finite" % name)
 
 
-def _set_from_json(obj: dict) -> SetSpec:
-    kind = obj["kind"]
-    if kind == "halfline":
-        return SetSpec.halfline(obj["t"])
-    if kind == "box":
-        return SetSpec.box(obj["low"], obj["high"])
-    if kind == "ball":
-        return SetSpec.ball(obj["center"], obj["radius"])
-    if kind == "halfspace":
-        return SetSpec.halfspace(obj["normal"], obj["offset"])
-    raise ValueError("unknown set kind %r" % kind)
+_SET_KEYS = {"halfline": ("t",), "box": ("low", "high"),
+             "ball": ("center", "radius"), "halfspace": ("normal", "offset")}
+
+
+def _set_from_json(obj: dict, where: str) -> SetSpec:
+    kind = _need(obj, "kind", where)
+    if kind not in _SET_KEYS:
+        raise ValueError("%s: unknown set kind %r" % (where, kind))
+    return getattr(SetSpec, kind)(*(_need(obj, key, where)
+                                    for key in _SET_KEYS[kind]))
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, step = (float(v) for v in spec.split(":"))
+    """The grid lo, lo + step, ... up to hi of a "lo:hi:step" spec."""
+    try:
+        lo, hi, step = (float(v) for v in spec.split(":"))
+    except ValueError:
+        lo = hi = step = float("nan")
+    if not (np.isfinite([lo, hi, step]).all() and lo <= hi and step > 0):
+        raise ValueError("--tgrid %r: need lo:hi:step with finite lo <= hi "
+                         "and step > 0" % spec)
     return np.arange(lo, hi + step / 2, step)
+
+
+def _write_comparison(path: str, key: str, labels, q_emp, q_tilde,
+                      mc_se) -> float:
+    """Write the table key,q_emp,q_tilde,abs_dev,mc_se with one row per
+    label and every number the repr of a float; return the largest
+    abs_dev."""
+    sup = 0.0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow([key, "q_emp", "q_tilde", "abs_dev", "mc_se"])
+        for label, qe, qt, se in zip(labels, q_emp, q_tilde, mc_se):
+            qe, qt = float(qe), float(qt)
+            sup = max(sup, abs(qe - qt))
+            w.writerow([label, repr(qe), repr(qt), repr(abs(qe - qt)),
+                        repr(float(se))])
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +158,7 @@ def cmd_cf_scan(args) -> int:
     if args.cR is not None:
         payload["prob_bound"] = cramer.failure_prob_bound(args.cR,
                                                           pts.shape[0])
-    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return 0
 
 
@@ -140,27 +180,23 @@ def cmd_certify(args) -> int:
     payload = cert.to_json_dict()
     payload["ustat_record"] = record
     payload["c_R"] = cR
-    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return 0
 
 
-def _get_dataset(args) -> np.ndarray:
-    if args.data:
-        return _load_points(args.data)
-    fam = make_family(args.family)
-    rng = bl.child_rng(args.seed, 101)
-    return fam.sample(rng, args.n)[:, None]
-
-
 def cmd_bootstrap_compare(args) -> int:
-    pts = _get_dataset(args)
+    if args.data:
+        pts = _load_points(args.data)
+    else:
+        rng = bl.child_rng(args.seed, 101)
+        pts = make_family(args.family).sample(rng, args.n)[:, None]
     draws = bl.bootstrap_draws(pts, args.B, seed=args.seed)
     e = bl.empirical_edgeworth(pts, args.s)
     if args.sets:
         with open(args.sets) as fh:
             specs = json.load(fh)
-        sets = [_set_from_json(o) for o in specs]
+        sets = [_set_from_json(o, "%s set %d" % (args.sets, i))
+                for i, o in enumerate(specs)]
         labels = [json.dumps(o) for o in specs]
         q_emp = [A.contains(draws).mean() for A in sets]
         q_tilde = [set_measure(e, A).value for A in sets]
@@ -169,20 +205,10 @@ def cmd_bootstrap_compare(args) -> int:
         labels = ["t=%g" % t for t in grid]
         q_emp = ecdf_on_grid(draws[:, 0].copy(), grid)
         q_tilde = e.cdf_1d(grid)
-    band = dkw_halfwidth(args.B)
     out_dir = _out_dir(args.out)
-    rows = []
-    sup = 0.0
-    for label, qe, qt in zip(labels, q_emp, q_tilde):
-        qe, qt = float(qe), float(qt)
-        dev = abs(qe - qt)
-        sup = max(sup, dev)
-        rows.append([label, repr(qe), repr(qt), repr(dev), repr(band)])
     csv_path = os.path.join(out_dir, "bootstrap_compare.csv")
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["set_id", "q_emp", "q_tilde", "abs_dev", "mc_se"])
-        w.writerows(rows)
+    sup = _write_comparison(csv_path, "set_id", labels, q_emp, q_tilde,
+                            itertools.repeat(dkw_halfwidth(args.B)))
     flags = bl.event_checks(pts, args.s, rho_bar=args.rho_bar, c1=1e-6,
                             c2=args.rho_bar)
     summary = {
@@ -191,11 +217,7 @@ def cmd_bootstrap_compare(args) -> int:
         "events": {"e0": flags.e0, "e1": flags.e1, "e2": flags.e2},
         "csv": csv_path,
     }
-    json_path = os.path.join(out_dir, "bootstrap_compare.json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=1, allow_nan=False)
-        fh.write("\n")
-    print(json.dumps(summary, indent=1, allow_nan=False))
+    _print_json(summary, os.path.join(out_dir, "bootstrap_compare.json"))
     return 0
 
 
@@ -214,67 +236,55 @@ def cmd_tstat_study(args) -> int:
         tgrid, e, stats, float(w.mean()), args.n, args.mc_budget, mc_rng)
     out_dir = _out_dir(args.out)
     csv_path = os.path.join(out_dir, "tstat_study.csv")
-    with open(csv_path, "w", newline="") as fh:
-        wri = csv.writer(fh, lineterminator="\n")
-        wri.writerow(["t", "q_emp", "q_tilde", "abs_dev", "mc_se"])
-        for t, a, b, se in zip(tgrid, q_emp, q_tilde, ses):
-            wri.writerow([repr(float(t)), repr(float(a)), repr(float(b)),
-                          repr(abs(float(a - b))), repr(float(se))])
+    sup = _write_comparison(csv_path, "t", [repr(float(t)) for t in tgrid],
+                            q_emp, q_tilde, ses)
     summary = {
         "family": args.family, "n": args.n, "B": args.B, "s": args.s,
-        "sup_deviation": float(np.max(np.abs(q_emp - q_tilde))),
+        "sup_deviation": sup,
         "degenerate_draws": degenerate,
         "singular_mc_points": singular,
         "csv": csv_path,
     }
-    json_path = os.path.join(out_dir, "tstat_study.json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=1, allow_nan=False)
-        fh.write("\n")
-    print(json.dumps(summary, indent=1, allow_nan=False))
+    _print_json(summary, os.path.join(out_dir, "tstat_study.json"))
     return 0
 
 
-def _report_exit(report: StudyReport) -> int:
+def _run_config(args, name: str, required: str, run) -> int:
+    """Load the JSON config, run(cfg, settings) for the report, where
+    settings holds the keywords both drivers take, write the report as
+    <name>.csv and <name>.json and print its slopes; exit 2 when every
+    sup_dev record is inconclusive."""
+    with open(args.config) as fh:
+        cfg = json.load(fh, parse_constant=_reject_constant)
+    _need(cfg, required, args.config)
+    settings = dict(s=cfg.get("s", 3),
+                    n_grid=_need(cfg, "n_grid", args.config),
+                    M=cfg.get("M", 1_000_000), seed=cfg.get("seed", 0),
+                    mode=cfg.get("mode", "analytic"), B=cfg.get("B"),
+                    reps=cfg.get("reps", 1), workers=cfg.get("workers", 1))
+    report = run(cfg, settings)
+    out_dir = _out_dir(cfg.get("out"))
+    emit_report(report, "csv", os.path.join(out_dir, name + ".csv"))
+    emit_report(report, "json", os.path.join(out_dir, name + ".json"))
+    _print_json(report.json_slopes())
     flags = [r.flag for r in report.records if r.metric.endswith("sup_dev")]
-    if flags and all(f == "inconclusive" for f in flags):
-        return 2
-    return 0
+    return 2 if flags and all(f == "inconclusive" for f in flags) else 0
 
 
 def cmd_rate_study(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh, parse_constant=_reject_constant)
-    fam = make_family(cfg["family"], **cfg.get("theta", {}))
-    report = rate_study(fam, s=cfg.get("s", 3), n_grid=cfg["n_grid"],
-                        M=cfg.get("M", 1_000_000), seed=cfg.get("seed", 0),
-                        mode=cfg.get("mode", "analytic"), B=cfg.get("B"),
-                        reps=cfg.get("reps", 1),
-                        workers=cfg.get("workers", 1))
-    out_dir = _out_dir(cfg.get("out"))
-    emit_report(report, "csv", os.path.join(out_dir, "rate_study.csv"))
-    emit_report(report, "json", os.path.join(out_dir, "rate_study.json"))
-    print(json.dumps(report.json_slopes(), indent=1, allow_nan=False))
-    return _report_exit(report)
+    def run(cfg, settings):
+        fam = make_family(cfg["family"], **cfg.get("theta", {}))
+        return rate_study(fam, **settings)
+    return _run_config(args, "rate_study", "family", run)
 
 
 def cmd_uniform_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh, parse_constant=_reject_constant)
-    fams = [make_family(f["name"], **f.get("theta", {}))
-            for f in cfg["families"]]
-    report = uniform_sweep(fams, s=cfg.get("s", 3), n_grid=cfg["n_grid"],
-                           M=cfg.get("M", 1_000_000),
-                           seed=cfg.get("seed", 0),
-                           rho_cap=cfg.get("rho_cap"),
-                           reps=cfg.get("reps", 1),
-                           mode=cfg.get("mode", "analytic"), B=cfg.get("B"),
-                           workers=cfg.get("workers", 1))
-    out_dir = _out_dir(cfg.get("out"))
-    emit_report(report, "csv", os.path.join(out_dir, "uniform_sweep.csv"))
-    emit_report(report, "json", os.path.join(out_dir, "uniform_sweep.json"))
-    print(json.dumps(report.json_slopes(), indent=1, allow_nan=False))
-    return _report_exit(report)
+    def run(cfg, settings):
+        where = "a family in %s" % args.config
+        fams = [make_family(_need(f, "name", where), **f.get("theta", {}))
+                for f in cfg["families"]]
+        return uniform_sweep(fams, rho_cap=cfg.get("rho_cap"), **settings)
+    return _run_config(args, "uniform_sweep", "families", run)
 
 
 def cmd_expand(args) -> int:
@@ -285,8 +295,7 @@ def cmd_expand(args) -> int:
         fam = make_family(args.family)
         cums = fam.standardized_cumulants(args.s)
         e = build_expansion(cums, args.n, args.s)
-    json.dump(e.to_json_dict(), sys.stdout, indent=1, allow_nan=False)
-    sys.stdout.write("\n")
+    _print_json(e.to_json_dict())
     return 0
 
 
@@ -316,29 +325,27 @@ def build_parser() -> argparse.ArgumentParser:
     scan_args(sp)
     sp.set_defaults(fn=cmd_certify)
 
+    def resample_args(sp, n):
+        sp.add_argument("--family", default="centered-exponential")
+        sp.add_argument("--n", type=int, default=n)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--B", type=int, default=100_000)
+        sp.add_argument("--s", type=int, default=3)
+        sp.add_argument("--out", default=None)
+
     sp = sub.add_parser("bootstrap-compare",
                         help="bootstrap draws vs empirical expansion")
+    resample_args(sp, 400)
     sp.add_argument("--data", default=None)
-    sp.add_argument("--family", default="centered-exponential")
-    sp.add_argument("--n", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--B", type=int, default=100_000)
-    sp.add_argument("--s", type=int, default=3)
     sp.add_argument("--sets", default=None, help="JSON file of set specs")
     sp.add_argument("--rho-bar", type=float, default=100.0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_bootstrap_compare)
 
     sp = sub.add_parser("tstat-study",
                         help="bootstrap-t CDF vs expansion measure")
-    sp.add_argument("--family", default="centered-exponential")
-    sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--B", type=int, default=100_000)
-    sp.add_argument("--s", type=int, default=3)
+    resample_args(sp, 200)
     sp.add_argument("--tgrid", default="-4:4:0.05")
     sp.add_argument("--mc-budget", type=int, default=200_000)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_tstat_study)
 
     sp = sub.add_parser("rate-study", help="rate study from a JSON config")

@@ -40,8 +40,6 @@ def _atoms(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     sum_k w_k delta_{a_k}; rows are compared by their bytes, through one
     sort of a contiguous void view.
     """
-    if not np.all(np.isfinite(points)):
-        raise ValueError("all coordinates must be finite")
     pts = np.ascontiguousarray(points)
     rows = pts.view(np.dtype((np.void, pts.dtype.itemsize * pts.shape[1])))
     _, first, counts = np.unique(rows.ravel(), return_index=True,
@@ -215,8 +213,8 @@ def _refine_radius(modulus_fn, direction: np.ndarray, b: float,
 
 
 def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
-          n_radii: int, n_dirs: Optional[int], c: Optional[float],
-          refine: bool) -> CramerCertificate:
+          n_radii: int, n_dirs: Optional[int],
+          c: Optional[float]) -> CramerCertificate:
     if not b > 0:
         raise ValueError("b must be > 0")
     if c is not None and not c > 0:
@@ -237,16 +235,13 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
         })
 
     i0, j0 = np.unravel_index(np.argmin(slack), slack.shape)
-    best_r, best_mod = float(radii[i0]), float(mod[i0, j0])
-    best_slack = float(slack[i0, j0])
+    best_mod, best_slack = float(mod[i0, j0]), float(slack[i0, j0])
     best_t = radii[i0] * dirs[j0]
-    if refine:
-        r_lo = float(radii[max(i0 - 1, 0)]) if i0 > 0 else R
-        r_hi = float(radii[min(i0 + 1, n_r - 1)])
-        r, m, s = _refine_radius(modulus_fn, dirs[j0], b, r_lo, r_hi)
-        if s < best_slack:
-            best_r, best_mod, best_slack = r, m, s
-            best_t = r * dirs[j0]
+    r_lo = float(radii[i0 - 1]) if i0 > 0 else R
+    r_hi = float(radii[min(i0 + 1, n_r - 1)])
+    r, m, s = _refine_radius(modulus_fn, dirs[j0], b, r_lo, r_hi)
+    if s < best_slack:
+        best_mod, best_slack, best_t = m, s, r * dirs[j0]
 
     c_hat = best_slack
     if c is not None and c_hat < c:
@@ -265,8 +260,7 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
 
 def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
                      n_radii: int = 512, n_dirs: Optional[int] = None,
-                     c: Optional[float] = None,
-                     refine: bool = True) -> CramerCertificate:
+                     c: Optional[float] = None) -> CramerCertificate:
     """Scan the weak Cramer inequality on a radial-shell grid.
 
     Returns the minimal slack (1 - |cf(t)|) ||t||^b as the certified
@@ -278,15 +272,13 @@ def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
     rounding near its minimum, so the search locates the witness radius
     to about 1.5e-8 relative (sqrt(eps)) and the margin c to rounding.
     """
-    return _scan(h.modulus, h.dimension, b, R, T_max, n_radii, n_dirs,
-                 c, refine)
+    return _scan(h.modulus, h.dimension, b, R, T_max, n_radii, n_dirs, c)
 
 
 def mean_weak_cramer_scan(hs: Sequence[CharFunctionHandle], b: float,
                           R: float, T_max: float, n_radii: int = 512,
                           n_dirs: Optional[int] = None,
-                          c: Optional[float] = None,
-                          refine: bool = True) -> CramerCertificate:
+                          c: Optional[float] = None) -> CramerCertificate:
     """Scan applied to the average of the per-unit cf moduli."""
     if len(hs) == 0:
         raise ValueError("need at least one handle")
@@ -295,8 +287,7 @@ def mean_weak_cramer_scan(hs: Sequence[CharFunctionHandle], b: float,
         raise ValueError("mixed dimensions in handle list")
     def mean_modulus(T):
         return sum(h.modulus(T) for h in hs) / len(hs)
-    return _scan(mean_modulus, dims.pop(), b, R, T_max, n_radii, n_dirs,
-                 c, refine)
+    return _scan(mean_modulus, dims.pop(), b, R, T_max, n_radii, n_dirs, c)
 
 
 # ---------------------------------------------------------------------------

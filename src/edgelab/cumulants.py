@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "CumulantSet",
     "as_points",
     "raw_moments_from_points",
-    "raw_moments_from_function",
     "moments_to_cumulants",
     "cumulants_to_moments",
     "averaged_standardized_cumulants",
@@ -126,12 +125,15 @@ class CumulantSet:
 # moment sources
 
 def as_points(points) -> np.ndarray:
-    """A nonempty float (n, d) point array; a 1-d array is n points in R^1."""
+    """A nonempty, finite float (n, d) point array; a 1-d array is n points
+    in R^1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, d) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("all coordinates must be finite")
     return pts
 
 
@@ -146,17 +148,6 @@ def raw_moments_from_points(points: np.ndarray, max_order: int) -> MomentSet:
             if p:
                 prod = prod * pts[:, k] ** p
         table[nu] = float(prod.mean())
-    return MomentSet(d, max_order, table)
-
-
-def raw_moments_from_function(d: int, max_order: int,
-                              moment: Callable[[MultiIndex], float]) -> MomentSet:
-    """Analytic raw moments supplied by a closed-form callable.
-
-    The callable may raise ``KeyError``/``ValueError`` for unsupported
-    orders, which is surfaced as-is.
-    """
-    table = {nu: moment(nu) for nu in enumerate_multi_indices(d, max_order)}
     return MomentSet(d, max_order, table)
 
 

@@ -10,6 +10,7 @@ polynomial coefficient tables double as Hermite coefficient tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import erfc, exp, factorial, gamma, inf, pi, sqrt
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -26,9 +27,6 @@ __all__ = [
     "build_expansion",
     "SetSpec",
     "MeasureResult",
-    "m_s_norm",
-    "default_probe_grid",
-    "gaussian_oscillation",
 ]
 
 
@@ -148,6 +146,12 @@ class EdgeworthExpansion:
     def max_hermite_degree(self) -> int:
         return max((sum(nu) for tab in self.hermite_coeffs.values()
                     for nu in tab), default=0)
+
+    @cached_property
+    def _monomial_coeffs(self) -> Dict[int, Dict[MultiIndex, float]]:
+        """The Hermite tables in the monomial basis, built on first use."""
+        return {j: _basis_change(tab)
+                for j, tab in self.hermite_coeffs.items()}
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """Signed density divided by the Gaussian density, at points (m, d)."""
@@ -270,16 +274,6 @@ class SetSpec:
                        normal=tuple(float(v) for v in normal),
                        offset=float(offset))
 
-    @property
-    def dimension(self) -> int:
-        if self.kind == "halfline":
-            return 1
-        if self.kind == "box":
-            return len(self.low)
-        if self.kind == "ball":
-            return len(self.center)
-        return len(self.normal)
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Boolean membership for points of shape (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -321,7 +315,6 @@ class SetSpec:
 class MeasureResult:
     value: float
     error: float
-    converged: bool
     method: str
 
 
@@ -406,9 +399,9 @@ def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
     d = e.dimension
     radial: Dict[int, float] = {}
     total = 0.0
-    for j, tab in e.hermite_coeffs.items():
+    for j, tab in e._monomial_coeffs.items():
         scale = e.n ** (-j / 2.0)
-        for mu, c in _basis_change(tab).items():
+        for mu, c in tab.items():
             if any(p % 2 for p in mu):
                 continue
             a = sum(mu) + d
@@ -455,20 +448,18 @@ def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",
         if A.kind == "halfline":
             if d != 1:
                 raise ValueError("halfline regions require dimension 1")
-            return MeasureResult(e.cdf_1d(A.threshold), 1e-14, True, method)
+            return MeasureResult(e.cdf_1d(A.threshold), 1e-14, method)
         if A.kind == "box":
             return MeasureResult(float(_box_measure(e, A.low, A.high)),
-                                 1e-14, True, method)
+                                 1e-14, method)
         if A.kind == "ball":
             if all(c == 0 for c in A.center):
                 return MeasureResult(_centered_ball_measure(e, A.radius),
-                                     1e-13, True, method)
+                                     1e-13, method)
             raise ValueError("quadrature supports centered balls only; "
                              "use method='mc' for shifted balls")
-        if A.kind == "halfspace":
-            return MeasureResult(_halfspace_measure(e, A.normal, A.offset),
-                                 1e-13, True, method)
-        raise ValueError("unsupported region kind %r" % (A.kind,))
+        return MeasureResult(_halfspace_measure(e, A.normal, A.offset),
+                             1e-13, method)
     if method == "mc":
         if budget < 1:
             raise ValueError("budget must be >= 1")
@@ -477,49 +468,6 @@ def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",
         vals = A.contains(z) * e.weight(z)
         value = float(vals.mean())
         err = float(vals.std(ddof=1) / sqrt(budget))
-        return MeasureResult(value, err, True, method)
+        return MeasureResult(value, err, method)
     raise ValueError("method must be 'quadrature' or 'mc'")
 
-
-# ---------------------------------------------------------------------------
-# f-functionals
-
-def default_probe_grid(d: int, radius: float = 12.0) -> np.ndarray:
-    """Tensor probe grid of the given radius, plus the origin.
-
-    Step widens with dimension to keep the grid desk-sized.
-    """
-    step = {1: 0.05, 2: 0.1, 3: 0.5}.get(d)
-    if step is None:
-        raise ValueError("probe grids support d <= 3")
-    axis = np.arange(-radius, radius + step / 2, step)
-    pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
-    pts = pts.reshape(-1, d)
-    return np.vstack([pts, np.zeros((1, d))])
-
-
-def m_s_norm(f, s: int, grid: np.ndarray) -> float:
-    """Grid lower bound for sup |f(x)| / (1 + ||x||^s)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    vals = np.abs(np.asarray(f(grid), dtype=float))
-    norms = np.sqrt(np.sum(grid * grid, axis=1))
-    return float(np.max(vals / (1.0 + norms ** s)))
-
-
-def gaussian_oscillation(A: SetSpec, eps: float, budget: int = 200_000,
-                         rng: Optional[np.random.Generator] = None,
-                         d: Optional[int] = None) -> Tuple[float, float]:
-    """Standard-Gaussian mass of the eps-shell around the boundary of A.
-
-    Monte Carlo estimate with standard error; equals the Gaussian-average
-    oscillation of the indicator of A at scale eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    d = d if d is not None else A.dimension
-    z = rng.standard_normal((budget, d))
-    shell = A.enlarged(eps).contains(z) & ~A.enlarged(-eps).contains(z)
-    p = float(shell.mean())
-    se = sqrt(max(p * (1 - p), 1e-300) / budget)
-    return p, se

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cumulants import CumulantSet, moments_to_cumulants, MomentSet
 
-__all__ = ["Family", "register_builtin_families", "make_family"]
+__all__ = ["Family", "make_family"]
 
 _SUM_CHUNK = 200_000  # max scalar draws materialized at once
 
@@ -76,24 +76,21 @@ def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
     return total
 
 
-def _discrete_cumulant_fn(support: np.ndarray, weights: np.ndarray):
-    support = np.asarray(support, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+def _cumulant_fn(raw_moment: Callable[[int], float]):
+    """kappa(r), the r-th cumulant, from the raw moments raw_moment(k)."""
     def kappa(r: int) -> float:
-        table = {(k,): float((weights * support ** k).sum())
-                 for k in range(r + 1)}
-        cums = moments_to_cumulants(MomentSet(1, r, table))
-        return cums[(r,)]
+        table = {(k,): float(raw_moment(k)) for k in range(r + 1)}
+        return moments_to_cumulants(MomentSet(1, r, table))[(r,)]
     return kappa
+
+
+def _discrete_cumulant_fn(support: np.ndarray, weights: np.ndarray):
+    return _cumulant_fn(lambda k: (weights * support ** k).sum())
 
 
 def _mixture_cumulant_fn(w, mus, sigmas):
-    def kappa(r: int) -> float:
-        table = {(k,): float(sum(wi * _normal_raw_moment(m, s, k)
-                                 for wi, m, s in zip(w, mus, sigmas)))
-                 for k in range(r + 1)}
-        return moments_to_cumulants(MomentSet(1, r, table))[(r,)]
-    return kappa
+    return _cumulant_fn(lambda k: sum(wi * _normal_raw_moment(m, s, k)
+                                      for wi, m, s in zip(w, mus, sigmas)))
 
 
 def make_family(name: str, **theta) -> Family:
@@ -169,10 +166,3 @@ def make_family(name: str, **theta) -> Family:
             lattice=False, mean=mean, sd=sd, sampler=sampler,
             cumulant_fn=_mixture_cumulant_fn(w, mus, sigmas))
     raise ValueError("unknown family %r" % (name,))
-
-
-def register_builtin_families() -> Dict[str, Family]:
-    """Default registry with one instance of each builtin family."""
-    names = ["gaussian", "bernoulli", "three-point-irrational",
-             "centered-exponential", "gamma", "gaussian-mixture"]
-    return {n: make_family(n) for n in names}

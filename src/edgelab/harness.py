@@ -116,11 +116,10 @@ def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
 
 
 def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
-                     rng: np.random.Generator, alpha: float = 0.01
-                     ) -> Tuple[np.ndarray, float]:
+                     rng: np.random.Generator) -> Tuple[np.ndarray, float]:
     """Empirical CDF of the standardized sum on a grid, with its DKW band."""
     return (ecdf_on_grid(family.sum_sample(n, M, rng), t_grid),
-            dkw_halfwidth(M, alpha))
+            dkw_halfwidth(M))
 
 
 def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
@@ -155,19 +154,20 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
 
 def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
                seed: int, mode: str = "analytic", B: Optional[int] = None,
-               reps: int = 1, t_grid: Optional[np.ndarray] = None,
-               workers: int = 1) -> StudyReport:
+               reps: int = 1, workers: int = 1) -> StudyReport:
     """Sup-deviation metric across an n-grid, with the s=2 Gaussian baseline.
 
     analytic mode compares the simulated exact distribution of the
     standardized sum against the analytic-cumulant expansion; bootstrap
     mode compares bootstrap draws against the empirical-cumulant
-    expansion.  Fitted log-log slopes use non-flagged records only.
+    expansion.  Both evaluate on default_t_grid().  The (n, rep) cells run
+    on a pool of `workers` threads.  Fitted log-log slopes use non-flagged
+    records only.
     """
     n_grid = list(n_grid)
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing with >= 4 points")
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid)
+    t_grid = default_t_grid()
     s_values = sorted({2, s})
     cells = [(n, rep) for n in n_grid for rep in range(reps)]
     if mode not in ("analytic", "bootstrap"):
@@ -178,12 +178,8 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         raise ValueError("workers must be >= 1")
     work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,
                               t_grid, seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(work, cells))
 
     report = StudyReport(config={
         "driver": "rate_study", "family": family.name,
@@ -195,12 +191,8 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         report.records.extend(recs)
     report.finalize()
     for sv in s_values:
-        recs = [r for r in report.records if r.s == sv and r.flag == ""]
-        ns = [r.n for r in recs]
-        vals = [r.value for r in recs]
-        slope, se = fit_loglog_slope(ns, vals)
-        report.slopes["s=%d" % sv] = {
-            "slope": slope, "stderr": se, "n_used": len(recs)}
+        report.slopes["s=%d" % sv] = _fit([r for r in report.records
+                                           if r.s == sv and r.flag == ""])
     return report
 
 
@@ -249,24 +241,26 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
             if not cand:
                 continue
             worst = max(cand, key=lambda r: r.value)
-            flag = worst.flag
             per_n.append(StudyRecord("sweep-max", "{}", n, 0, sv,
                                      "max_sup_dev", worst.value, worst.mc_se,
-                                     flag, seed))
+                                     worst.flag, seed))
         report.records.extend(per_n)
-        good = [r for r in per_n if r.flag == ""]
-        slope, se = fit_loglog_slope([r.n for r in good],
-                                     [r.value for r in good])
-        report.slopes["max,s=%d" % sv] = {
-            "slope": slope, "stderr": se, "n_used": len(good)}
+        report.slopes["max,s=%d" % sv] = _fit([r for r in per_n
+                                               if r.flag == ""])
     return report.finalize()
 
 
-def _moment_proxy(fam: Family, s: int, seed: int, idx: int,
-                  pilot: int = 100_000) -> float:
-    """Monte Carlo estimate of E|Z|^s, Z the standardized family variable."""
+def _fit(recs: Sequence[StudyRecord]) -> dict:
+    """The slopes entry of a log-log fit of the records' values on n."""
+    slope, se = fit_loglog_slope([r.n for r in recs], [r.value for r in recs])
+    return {"slope": slope, "stderr": se, "n_used": len(recs)}
+
+
+def _moment_proxy(fam: Family, s: int, seed: int, idx: int) -> float:
+    """Monte Carlo estimate of E|Z|^s, Z the standardized family variable,
+    from 100,000 pilot draws."""
     rng = child_rng(seed, _family_key(fam.name), 9, idx)
-    draws = fam.sample(rng, pilot)
+    draws = fam.sample(rng, 100_000)
     z = (draws - fam.mean) / fam.sd
     val = float(np.mean(np.abs(z) ** s))
     return val if math.isfinite(val) else float("inf")

@@ -259,6 +259,60 @@ def test_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _fails_naming(argv, words, capsys):
+    """argv exits 1 with one error line that holds every word, and
+    prints nothing."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    for word in words:
+        assert word in lines[0]
+
+
+@pytest.mark.parametrize("command, cfg, missing", [
+    ("rate-study", {"n_grid": [25, 50, 100, 200]}, "family"),
+    ("rate-study", {"family": "gaussian"}, "n_grid"),
+    ("uniform-sweep", {"n_grid": [25, 50, 100, 200]}, "families"),
+    ("uniform-sweep", {"families": [{"name": "gaussian"}]}, "n_grid"),
+    ("uniform-sweep", {"families": [{"theta": {}}],
+                       "n_grid": [25, 50, 100, 200]}, "name"),
+])
+def test_config_without_a_required_key(tmp_path, capsys, command, cfg,
+                                       missing):
+    cfg = dict(cfg, M=1000, out=str(tmp_path / "o"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming([command, "--config", str(path)],
+                  [str(path), repr(missing)], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_set_without_a_required_key(tmp_path, capsys):
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(3).normal(size=(50, 2)))
+    sets = tmp_path / "sets.json"
+    for spec, missing in (({"radius": 1.0, "kind": "ball"}, "'center'"),
+                          ({"center": [0.0, 0.0]}, "'kind'"),
+                          ({"kind": "cone"}, "'cone'")):
+        sets.write_text(json.dumps([{"kind": "halfspace", "normal": [1, 0],
+                                     "offset": 0.0}, spec]))
+        _fails_naming(["bootstrap-compare", "--data", data, "--sets",
+                       str(sets), "--B", "100", "--out",
+                       str(tmp_path / "o")],
+                      ["%s set 1" % sets, missing], capsys)
+
+
+@pytest.mark.parametrize("tgrid", ["0:1:0", "1:0:0.1", "0:1:-0.1", "0:1",
+                                   "0:x:0.1", "0:inf:0.1", "nan:1:0.1"])
+def test_bad_tgrid_is_refused(tmp_path, capsys, tgrid):
+    _fails_naming(["tstat-study", "--n", "50", "--B", "100",
+                   "--tgrid=" + tgrid, "--out", str(tmp_path / "o")],
+                  ["--tgrid", repr(tgrid)], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_csv_blank_lines_and_header_rows(tmp_path):
     """Header rows and blank lines are skipped; numbers parse bit for bit
     as Python's float does."""

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgelab.cumulants import (CumulantSet, MomentSet, chi_poly,
+from edgelab.cumulants import (CumulantSet, MomentSet, as_points, chi_poly,
                                averaged_standardized_cumulants,
                                cumulants_to_moments, enumerate_multi_indices,
                                inv_sqrt_spd, moments_to_cumulants,
-                               multi_factorial, raw_moments_from_function,
-                               raw_moments_from_points)
+                               multi_factorial, raw_moments_from_points)
 from edgelab.jets import series_mul
 
 
@@ -105,22 +104,14 @@ def test_raw_moments_one_dimensional_input():
     assert m[(2,)] == pytest.approx(14.0 / 3.0)
 
 
-def test_raw_moments_from_function():
-    # standard normal: E X^k = (k-1)!! for even k, 0 for odd
-    def normal_moment(nu):
-        k = nu[0]
-        if k % 2:
-            return 0.0
-        out = 1.0
-        for j in range(1, k, 2):
-            out *= j
-        return out
-
-    m = raw_moments_from_function(1, 4, normal_moment)
-    assert m[(2,)] == 1.0
-    assert m[(4,)] == 3.0
-    c = moments_to_cumulants(m)
-    assert c[(4,)] == pytest.approx(0.0, abs=1e-12)
+def test_as_points_validation():
+    pts = as_points(np.arange(5.0))
+    assert pts.shape == (5, 1) and pts.dtype == float
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="all coordinates must be finite"):
+            as_points(np.array([[1.0, bad]]))
+    with pytest.raises(ValueError, match="nonempty"):
+        as_points(np.empty((0, 2)))
 
 
 def test_gaussian_cumulants_from_sample_are_small():

@@ -3,21 +3,21 @@ import math
 from fractions import Fraction
 from math import factorial, sqrt, pi
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammainc, ndtr
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from edgelab import expansion
 from edgelab.cumulants import (CumulantSet, chi_poly,
                                enumerate_multi_indices, multi_factorial)
 from edgelab.expansion import (EdgeworthExpansion, SetSpec,
                                _lower_gamma_regularized, _ndtr,
-                               build_expansion, default_probe_grid,
-                               gaussian_oscillation, hermite_tensor,
-                               hermite_value, m_s_norm, pj_polynomial,
-                               set_measure)
+                               build_expansion, hermite_tensor,
+                               hermite_value, pj_polynomial, set_measure)
 
 
 def standardized_cumulants(d, s, rng, scale=0.4):
@@ -276,13 +276,18 @@ def test_ndtr_matches_scipy(x):
 @given(st.integers(min_value=1, max_value=40),
        st.one_of(st.floats(0.0, 60.0),
                  st.floats(0.0, 60.0).map(lambda r: r * r / 2.0)))
+@example(14, 5.000000000000001e-35)
+@example(19, 5e-27)
 def test_lower_incomplete_gamma_matches_scipy(two_s, x):
     """gamma(s, x) for integer and half-integer s <= 20, at x in [0, 60]
-    and at x = r^2 / 2 for ball radii r in [0, 60].  Below about 1e-300
-    scipy's value underflows to 0 before ours does, so values that small
-    are only required to be tiny."""
+    and at x = r^2 / 2 for ball radii r in [0, 60].  The reference is
+    mpmath at 50 digits: scipy's gammainc is off by up to 1.2e-13 relative
+    at tiny x (s = 7, x = 5e-35), where ours is within 2e-16.  Values
+    below about 1e-280 are only required to be tiny, as the float series
+    underflows there."""
     s = two_s / 2.0
-    ref = gammainc(s, x) * gamma_fn(s)
+    with mpmath.workdps(50):
+        ref = float(mpmath.gammainc(s, 0, x))
     got = _lower_gamma_regularized(s, x) * math.gamma(s)
     if ref < 1e-280:
         assert 0.0 <= got < 1e-279
@@ -356,6 +361,23 @@ def test_ball_vs_box_1d():
     ball = set_measure(e, SetSpec.ball([0.0], r)).value
     box = set_measure(e, SetSpec.box([-r], [r])).value
     assert ball == pytest.approx(box, abs=1e-12)
+
+
+def test_ball_tables_convert_once_per_expansion(monkeypatch):
+    rng = np.random.default_rng(10)
+    c = standardized_cumulants(3, 5, rng)
+    radii = (1.0, 1.6, 2.2, 3.0)
+    fresh = [set_measure(build_expansion(c, 50, 5), SetSpec.ball([0.0] * 3,
+                                                                  r)).value
+             for r in radii]
+    calls = []
+    convert = expansion._basis_change
+    monkeypatch.setattr(expansion, "_basis_change",
+                        lambda tab: calls.append(1) or convert(tab))
+    e = build_expansion(c, 50, 5)
+    shared = [set_measure(e, SetSpec.ball([0.0] * 3, r)).value for r in radii]
+    assert shared == fresh
+    assert len(calls) == len(e.hermite_coeffs)
 
 
 def test_halfspace_axis_aligned_matches_box():
@@ -451,29 +473,3 @@ def test_json_roundtrip():
     x = np.array([[0.4, -0.9]])
     assert e2.weight(x)[0] == pytest.approx(e.weight(x)[0], rel=1e-15)
     assert e2.n == e.n and e2.order == e.order
-
-
-# -- diagnostics ------------------------------------------------------------
-
-def test_m_s_norm_of_gaussian_density():
-    # sup of phi(x) / (1 + x^2) sits at the origin
-    grid = default_probe_grid(1)
-    val = m_s_norm(lambda x: norm.pdf(x[:, 0]), 2, grid)
-    assert val == pytest.approx(norm.pdf(0.0), rel=1e-3)
-
-
-def test_probe_grid_contains_origin():
-    for d in (1, 2):
-        grid = default_probe_grid(d, radius=2.0)
-        assert np.any(np.all(grid == 0.0, axis=1))
-
-
-def test_gaussian_oscillation_scales_linearly():
-    A = SetSpec.halfline(0.0)
-    rng = np.random.default_rng(15)
-    p1, se1 = gaussian_oscillation(A, 0.05, budget=400_000, rng=rng)
-    p2, se2 = gaussian_oscillation(A, 0.10, budget=400_000,
-                                   rng=np.random.default_rng(16))
-    # shell mass ~ 2 eps phi(0)
-    assert p1 == pytest.approx(2 * 0.05 * norm.pdf(0.0), rel=0.1)
-    assert p2 / p1 == pytest.approx(2.0, rel=0.15)

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from edgelab.bootstrap import child_rng
-from edgelab.families import Family, make_family, register_builtin_families
+from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
                              dkw_halfwidth, emit_report, exact_sum_cdf_mc,
                              fit_loglog_slope, parse_report_csv, rate_study,
@@ -16,11 +16,11 @@ from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
 # -- families ---------------------------------------------------------------
 
 def test_registry_contents():
-    reg = register_builtin_families()
-    assert set(reg) == {"gaussian", "bernoulli", "three-point-irrational",
-                        "centered-exponential", "gamma", "gaussian-mixture"}
-    assert reg["bernoulli"].lattice
-    assert not reg["three-point-irrational"].lattice
+    names = ("gaussian", "bernoulli", "three-point-irrational",
+             "centered-exponential", "gamma", "gaussian-mixture")
+    assert [make_family(n).name for n in names] == list(names)
+    assert make_family("bernoulli").lattice
+    assert not make_family("three-point-irrational").lattice
 
 
 def test_unknown_family():
