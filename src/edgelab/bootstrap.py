@@ -34,6 +34,7 @@ __all__ = [
     "sup_deviation",
     "enlargement_deviation",
     "child_rng",
+    "map_chunks",
 ]
 
 _CHUNK = 16384   # fixed bootstrap chunk so streams do not depend on workers
@@ -119,6 +120,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def map_chunks(chunk: Callable[[int], object], n_chunks: int) -> list:
+    """[chunk(0), ..., chunk(n_chunks - 1)], run on one thread per
+    available CPU (at most one per chunk) and joined in chunk order, so the
+    result does not depend on the CPU count."""
+    threads = min(n_chunks, _available_cpus())
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(chunk, range(n_chunks)))
+
+
 def _resample(values: np.ndarray, B: int, seed: int,
               stream_key: Tuple[int, ...], reduce: Callable,
               finish: Optional[Callable] = None) -> np.ndarray:
@@ -127,9 +137,8 @@ def _resample(values: np.ndarray, B: int, seed: int,
     Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
     (seed, *stream_key, ci), in row blocks of about _BLOCK indices, each
     passed to reduce; finish, if given, maps the chunk's concatenated
-    output.  Chunks run on one thread per available CPU (at most one per
-    chunk) and are joined in chunk order, so the output does not depend on
-    the CPU count.  reduce must treat rows independently.
+    output.  The chunks run through map_chunks.  reduce must treat rows
+    independently.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -140,14 +149,12 @@ def _resample(values: np.ndarray, B: int, seed: int,
         m = min(_CHUNK, B - ci * _CHUNK)
         rng = child_rng(seed, *stream_key, ci)
         out = np.concatenate([
-            reduce(values[rng.integers(0, n, size=(min(rows, m - lo), n))])
+            reduce(np.take(values, rng.integers(
+                0, n, size=(min(rows, m - lo), n)), axis=0))
             for lo in range(0, m, rows)])
         return out if finish is None else finish(out)
 
-    n_chunks = -(-B // _CHUNK)
-    threads = min(n_chunks, _available_cpus())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(chunk, range(n_chunks))))
+    return np.concatenate(map_chunks(chunk, -(-B // _CHUNK)))
 
 
 def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:

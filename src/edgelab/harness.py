@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import bootstrap_draws, child_rng, empirical_edgeworth
+from .bootstrap import (bootstrap_draws, child_rng, empirical_edgeworth,
+                        map_chunks)
 from .expansion import build_expansion
 from .families import Family
 
@@ -35,6 +36,8 @@ __all__ = [
     "emit_report",
     "default_t_grid",
 ]
+
+_SUM_CHUNK = 2 ** 16  # standardized sums per chunk in analytic mode
 
 
 def default_t_grid() -> np.ndarray:
@@ -108,17 +111,36 @@ def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
     return slope, float("nan")
 
 
-def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
-    """Empirical CDF of samples at each grid point; sorts samples in place."""
+def _counts_at(samples: np.ndarray, grid) -> np.ndarray:
+    """Number of samples at or below each grid point; sorts samples in
+    place."""
     samples.sort()
     return np.searchsorted(samples, np.asarray(grid, dtype=float),
-                           side="right") / samples.size
+                           side="right")
+
+
+def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
+    """Empirical CDF of samples at each grid point; sorts samples in place."""
+    return _counts_at(samples, grid) / samples.size
 
 
 def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
-                     rng: np.random.Generator) -> Tuple[np.ndarray, float]:
-    """Empirical CDF of the standardized sum on a grid, with its DKW band."""
-    return (ecdf_on_grid(family.sum_sample(n, M, rng), t_grid),
+                     seed: int, stream_key: Tuple[int, ...] = ()
+                     ) -> Tuple[np.ndarray, float]:
+    """Empirical CDF of M standardized sums on a grid, with its DKW band.
+
+    Chunk ci holds sums ci * _SUM_CHUNK onwards, drawn from the stream
+    (seed, *stream_key, ci); it sorts them and counts those at or below
+    each grid point.  The chunks run through map_chunks and their integer
+    counts add up exactly, so the CDF does not depend on the CPU count and
+    each thread holds one chunk of sums at a time.
+    """
+    def counts(ci):
+        m = min(_SUM_CHUNK, M - ci * _SUM_CHUNK)
+        rng = child_rng(seed, *stream_key, ci)
+        return _counts_at(family.sum_sample(n, m, rng), t_grid)
+
+    return (sum(map_chunks(counts, -(-M // _SUM_CHUNK))) / M,
             dkw_halfwidth(M))
 
 
@@ -127,15 +149,16 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
     """Sup deviations at one (n, rep) for each s: in analytic mode the
     simulated sum against the analytic-cumulant expansion, in bootstrap
     mode bootstrap draws against the empirical-cumulant expansion."""
-    key = (seed, _family_key(family.name))
+    fam_key = _family_key(family.name)
     if mode == "analytic":
-        cdf, band = exact_sum_cdf_mc(family, n, M, t_grid,
-                                     child_rng(*key, 0, n, rep))
+        cdf, band = exact_sum_cdf_mc(family, n, M, t_grid, seed,
+                                     (fam_key, 0, n, rep))
         cumulants = family.standardized_cumulants
         metric = "sup_dev"
     else:
-        data = family.sample(child_rng(*key, 1, n, rep), n)[:, None]
-        draw_seed = int(child_rng(*key, 2, n, rep).integers(0, 2 ** 63))
+        data = family.sample(child_rng(seed, fam_key, 1, n, rep), n)[:, None]
+        draw_seed = int(child_rng(seed, fam_key, 2, n, rep)
+                        .integers(0, 2 ** 63))
         cdf = ecdf_on_grid(bootstrap_draws(data, B, seed=draw_seed)[:, 0],
                            t_grid)
         band = dkw_halfwidth(B)
@@ -174,6 +197,9 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         raise ValueError("mode must be 'analytic' or 'bootstrap'")
     if mode == "bootstrap" and B is None:
         raise ValueError("bootstrap mode needs a resampling budget B")
+    if mode == "analytic" and not (isinstance(M, int)
+                                   and not isinstance(M, bool) and M >= 1):
+        raise ValueError("M must be an integer >= 1, not %r" % (M,))
     if workers < 1:
         raise ValueError("workers must be >= 1")
     work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,

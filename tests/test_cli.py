@@ -289,6 +289,17 @@ def test_config_without_a_required_key(tmp_path, capsys, command, cfg,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("M", [0, 2.5, -5])
+def test_rate_study_refuses_a_bad_sum_count(tmp_path, capsys, M):
+    cfg = {"family": "centered-exponential", "n_grid": [25, 50, 100, 200],
+           "M": M, "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming(["rate-study", "--config", str(path)],
+                  ["M must be an integer >= 1", repr(M)], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_without_a_required_key(tmp_path, capsys):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(3).normal(size=(50, 2)))

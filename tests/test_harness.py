@@ -1,16 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from edgelab import bootstrap, harness
 from edgelab.bootstrap import child_rng
 from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
-                             dkw_halfwidth, emit_report, exact_sum_cdf_mc,
-                             fit_loglog_slope, parse_report_csv, rate_study,
-                             uniform_sweep)
+                             dkw_halfwidth, ecdf_on_grid, emit_report,
+                             exact_sum_cdf_mc, fit_loglog_slope,
+                             parse_report_csv, rate_study, uniform_sweep)
 
 
 # -- families ---------------------------------------------------------------
@@ -96,11 +98,51 @@ def test_exact_sum_cdf_gaussian_band_honest():
     grid = default_t_grid()
     hits = []
     for seed in range(20):
-        cdf, band = exact_sum_cdf_mc(fam, 50, 20_000, grid,
-                                     child_rng(seed, 77))
+        cdf, band = exact_sum_cdf_mc(fam, 50, 20_000, grid, seed, (77,))
         inside = np.abs(cdf - norm.cdf(grid)) <= band
         hits.append(inside.mean())
     assert np.mean(hits) >= 0.99
+
+
+CHUNK = harness._SUM_CHUNK
+NO_SHORTCUT = Family(**{**make_family("centered-exponential").__dict__,
+                        "sum_sampler": None})
+
+
+@pytest.mark.parametrize("fam, M", [
+    (make_family("centered-exponential"), 1),
+    (make_family("centered-exponential"), CHUNK),
+    (make_family("gamma"), 2 * CHUNK + 5),
+    (NO_SHORTCUT, 2 * CHUNK + 5)],
+    ids=["one-sum", "one-chunk", "gamma-three-chunks", "no-shortcut"])
+def test_exact_sum_cdf_counts_match_concatenated_chunks(fam, M, monkeypatch):
+    """The summed chunk counts are the ECDF of all the chunks' sums."""
+    grid = default_t_grid()
+    key = (5, 0, 30, 1)
+    sums = np.concatenate([
+        fam.sum_sample(30, min(CHUNK, M - lo), child_rng(11, *key, ci))
+        for ci, lo in enumerate(range(0, M, CHUNK))])
+    assert sums.size == M
+    ref = ecdf_on_grid(sums, grid)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        cdf, band = exact_sum_cdf_mc(fam, 30, M, grid, 11, key)
+        assert np.array_equal(cdf, ref)
+        assert band == dkw_halfwidth(M)
+
+
+def test_exact_sum_cdf_memory_does_not_grow_with_M(monkeypatch):
+    """At M = 2^22 (32 MB of sums) each of two threads holds a few chunks
+    of sums at most."""
+    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
+    fam = make_family("centered-exponential")
+    tracemalloc.start()
+    try:
+        exact_sum_cdf_mc(fam, 25, 2 ** 22, default_t_grid(), 0, (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * CHUNK * 8
 
 
 # -- rate studies -----------------------------------------------------------
@@ -158,6 +200,22 @@ def test_rate_study_workers_agree(tmp_path):
         reports.append(((tmp_path / "r.csv").read_bytes(),
                         (tmp_path / "r.json").read_bytes()))
     assert reports[0] == reports[1]
+
+
+def test_rate_study_reports_do_not_depend_on_cpus(tmp_path, monkeypatch):
+    """Analytic cells over three chunks (the last one partial) write the
+    same bytes on one, two and three CPUs."""
+    fam = make_family("centered-exponential")
+    reports = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        rep = rate_study(fam, 3, [25, 50, 100, 200],
+                         M=2 * harness._SUM_CHUNK + 5, seed=1)
+        emit_report(rep, "csv", str(tmp_path / "r.csv"))
+        emit_report(rep, "json", str(tmp_path / "r.json"))
+        reports.append(((tmp_path / "r.csv").read_bytes(),
+                        (tmp_path / "r.json").read_bytes()))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_rate_study_replications():
