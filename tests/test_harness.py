@@ -210,7 +210,7 @@ def test_rate_study_reports_do_not_depend_on_cpus(tmp_path, monkeypatch):
     for cpus in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
         rep = rate_study(fam, 3, [25, 50, 100, 200],
-                         M=2 * harness._SUM_CHUNK + 5, seed=1)
+                         M=2 * CHUNK + 5, seed=1)
         emit_report(rep, "csv", str(tmp_path / "r.csv"))
         emit_report(rep, "json", str(tmp_path / "r.json"))
         reports.append(((tmp_path / "r.csv").read_bytes(),
