@@ -91,17 +91,25 @@ def bootstrap_draws(data, B: int, seed: int = 0,
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
     so the output is bit-identical for any number of worker threads;
-    resampling runs on every available CPU.
+    resampling runs on every available CPU.  Each resample's mean adds
+    its n rows in sequence for d >= 2 and pairwise for d = 1.
     """
     pts = as_points(data)
-    n = pts.shape[0]
+    n, d = pts.shape
     stats, A = _standardizer(pts)
+
+    def mean_rows(res):
+        # For d >= 2, res.mean(axis=1) adds the rows in the same order but
+        # runs one d-element inner loop per row; einsum is about 4x faster.
+        # For d = 1 mean adds pairwise, and einsum would change the last bit.
+        if d == 1:
+            return res.mean(axis=1)
+        return np.einsum("rnk->rk", res) / n
 
     def standardize(means):
         return sqrt(n) * (means - stats.mean) @ A.T
 
-    return _resample(pts, B, seed, stream_key, lambda res: res.mean(axis=1),
-                     finish=standardize)
+    return _resample(pts, B, seed, stream_key, mean_rows, finish=standardize)
 
 
 def _standardizer(pts: np.ndarray) -> Tuple[SampleStats, np.ndarray]:

@@ -104,12 +104,23 @@ _SET_KEYS = {"halfline": ("t",), "box": ("low", "high"),
              "ball": ("center", "radius"), "halfspace": ("normal", "offset")}
 
 
-def _set_from_json(obj: dict, where: str) -> SetSpec:
+def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
+    """The region of a --sets entry, refused unless it lives in the data's
+    dimension d (a half-line in dimension 1)."""
     kind = _need(obj, "kind", where)
     if kind not in _SET_KEYS:
         raise ValueError("%s: unknown set kind %r" % (where, kind))
-    return getattr(SetSpec, kind)(*(_need(obj, key, where)
-                                    for key in _SET_KEYS[kind]))
+    A = getattr(SetSpec, kind)(*(_need(obj, key, where)
+                                 for key in _SET_KEYS[kind]))
+    for key, vec in (("low", A.low), ("high", A.high),
+                     ("center", A.center), ("normal", A.normal)):
+        if vec is not None and len(vec) != d:
+            raise ValueError("%s: %s %r has dimension %d but the data have "
+                             "dimension %d" % (where, kind, key, len(vec), d))
+    if kind == "halfline" and d != 1:
+        raise ValueError("%s: a halfline has dimension 1 but the data have "
+                         "dimension %d" % (where, d))
+    return A
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -190,13 +201,18 @@ def cmd_bootstrap_compare(args) -> int:
     else:
         rng = bl.child_rng(args.seed, 101)
         pts = make_family(args.family).sample(rng, args.n)[:, None]
-    draws = bl.bootstrap_draws(pts, args.B, seed=args.seed)
-    e = bl.empirical_edgeworth(pts, args.s)
+    d = pts.shape[1]
     if args.sets:
         with open(args.sets) as fh:
             specs = json.load(fh)
-        sets = [_set_from_json(o, "%s set %d" % (args.sets, i))
+        sets = [_set_from_json(o, "%s set %d" % (args.sets, i), d)
                 for i, o in enumerate(specs)]
+    elif d != 1:
+        raise ValueError("the data have %d columns; bootstrap-compare "
+                         "needs --sets for data with more than 1 column" % d)
+    draws = bl.bootstrap_draws(pts, args.B, seed=args.seed)
+    e = bl.empirical_edgeworth(pts, args.s)
+    if args.sets:
         labels = [json.dumps(o) for o in specs]
         q_emp = [A.contains(draws).mean() for A in sets]
         q_tilde = [set_measure(e, A).value for A in sets]

@@ -100,7 +100,7 @@ def _studentize_reference(w):
     return studentize
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_bootstrap_draws_match_per_chunk_reference(d, monkeypatch):
     pts = skewed_sample(40, seed=21, d=d)
     ref = _per_chunk_loop(pts, _GUARD_B, 9, _standardize_reference(pts))

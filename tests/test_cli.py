@@ -315,6 +315,45 @@ def test_set_without_a_required_key(tmp_path, capsys):
                       ["%s set 1" % sets, missing], capsys)
 
 
+def _no_resampling(*args, **kwargs):
+    raise AssertionError("resampled before refusing the input")
+
+
+@pytest.mark.parametrize("spec, words", [
+    ({"kind": "box", "low": [-1.0], "high": [1.0]},
+     ["box 'low' has dimension 1", "the data have dimension 3"]),
+    ({"kind": "halfspace", "normal": [1.0, 0.5], "offset": 0.0},
+     ["halfspace 'normal' has dimension 2", "the data have dimension 3"]),
+    ({"kind": "ball", "center": [0.5], "radius": 1.0},
+     ["ball 'center' has dimension 1", "the data have dimension 3"]),
+    ({"kind": "halfline", "t": 0.0},
+     ["halfline has dimension 1", "the data have dimension 3"]),
+])
+def test_set_of_another_dimension_is_refused(tmp_path, capsys, monkeypatch,
+                                             spec, words):
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(4).normal(size=(50, 3)))
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([{"kind": "ball", "center": [0.0] * 3,
+                                 "radius": 1.0}, spec]))
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
+                   "--out", str(tmp_path / "o")],
+                  ["%s set 1: " % sets] + words, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_multi_column_data_without_sets_is_refused(tmp_path, capsys,
+                                                   monkeypatch):
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(4).normal(size=(50, 3)))
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--data", data,
+                   "--out", str(tmp_path / "o")],
+                  ["--sets", "3 columns"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("tgrid", ["0:1:0", "1:0:0.1", "0:1:-0.1", "0:1",
                                    "0:x:0.1", "0:inf:0.1", "nan:1:0.1"])
 def test_bad_tgrid_is_refused(tmp_path, capsys, tgrid):
