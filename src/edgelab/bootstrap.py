@@ -39,6 +39,7 @@ __all__ = [
 
 _CHUNK = 16384   # fixed bootstrap chunk so streams do not depend on workers
 _BLOCK = 2 ** 16  # index elements drawn and reduced at once within a chunk
+_MC_CHUNK = 2 ** 16  # importance-sample points per t-statistic curve chunk
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -260,7 +261,7 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
 
     def studentize(res):
         mb = res.mean(axis=1)
-        s2 = (res * res).mean(axis=1) - mb * mb
+        s2 = np.square(res, out=res).mean(axis=1) - mb * mb
         ok = s2 > 0
         return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
 
@@ -285,34 +286,42 @@ def tstat_pushforward(x: np.ndarray, stats: SampleStats, wbar: float,
 
 
 def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
-                          wbar: float, n: int, budget: int,
-                          rng: np.random.Generator
+                          wbar: float, n: int, budget: int, seed: int,
+                          stream_key: Tuple[int, ...] = ()
                           ) -> Tuple[np.ndarray, np.ndarray, int]:
     """MC estimate of the expansion measure of the t-statistic regions.
 
     Returns (values, standard errors, singular point count) on the t grid;
-    one Gaussian importance sample is shared across the whole grid.
+    one Gaussian importance sample of budget points is shared across the
+    whole grid.  Chunk ci holds points ci * _MC_CHUNK onwards, drawn from
+    the stream (seed, *stream_key, ci); it sorts its t values and sums the
+    weights and squared weights at or below each grid point.  The chunks
+    run through map_chunks and their sums add in chunk order, so the curve
+    does not depend on the CPU count and each thread holds one chunk of
+    points at a time.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not (isinstance(budget, int) and not isinstance(budget, bool)
+            and budget >= 1):
+        raise ValueError("budget must be an integer >= 1, not %r"
+                         % (budget,))
     t_grid = np.asarray(t_grid, dtype=float)
-    z = rng.standard_normal((budget, 2))
-    w = e.weight(z)
-    u, valid = tstat_pushforward(z, stats, wbar, n)
-    singular = int(np.sum(~valid))
-    w_eff = np.where(valid, w, 0.0)
-    u_eff = np.where(valid, u, np.inf)
-    order = np.argsort(u_eff)
-    u_sorted = u_eff[order]
-    w_sorted = w_eff[order]
-    csum = np.concatenate([[0.0], np.cumsum(w_sorted)])
-    csum_sq = np.concatenate([[0.0], np.cumsum(w_sorted ** 2)])
-    pos = np.searchsorted(u_sorted, t_grid, side="right")
-    values = csum[pos] / budget
+
+    def sums(ci):
+        m = min(_MC_CHUNK, budget - ci * _MC_CHUNK)
+        z = child_rng(seed, *stream_key, ci).standard_normal((m, 2))
+        u, valid = tstat_pushforward(z, stats, wbar, n)
+        u[~valid] = np.inf
+        order = np.argsort(u)
+        w = np.where(valid, e.weight(z), 0.0)[order]
+        pos = np.searchsorted(u[order], t_grid, side="right")
+        at = [np.concatenate([[0.0], np.cumsum(v)])[pos] for v in (w, w * w)]
+        return np.array(at), int(np.sum(~valid))
+
+    parts = map_chunks(sums, -(-budget // _MC_CHUNK))
+    values, second = sum(at for at, _ in parts) / budget
     # se of mean(1{u<=t} w): sqrt((E w^2 1 - (E w 1)^2)/budget)
-    second = csum_sq[pos] / budget
     var = np.maximum(second - values ** 2, 0.0) / budget
-    return values, np.sqrt(var), singular
+    return values, np.sqrt(var), sum(k for _, k in parts)
 
 
 def sup_deviation(members: Sequence, q_emp: Callable, q_tilde: Callable

@@ -102,16 +102,30 @@ def _reject_constant(name: str):
 
 _SET_KEYS = {"halfline": ("t",), "box": ("low", "high"),
              "ball": ("center", "radius"), "halfspace": ("normal", "offset")}
+_VECTOR_KEYS = ("low", "high", "center", "normal")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
-    """The region of a --sets entry, refused unless it lives in the data's
-    dimension d (a half-line in dimension 1)."""
+    """The region of a --sets entry, refused unless each key holds a number
+    or, for a vector key, a list of numbers, it lives in the data's
+    dimension d (a half-line in dimension 1) and a ball is centered at the
+    origin."""
     kind = _need(obj, "kind", where)
     if kind not in _SET_KEYS:
         raise ValueError("%s: unknown set kind %r" % (where, kind))
-    A = getattr(SetSpec, kind)(*(_need(obj, key, where)
-                                 for key in _SET_KEYS[kind]))
+    fields = [_need(obj, key, where) for key in _SET_KEYS[kind]]
+    for key, v in zip(_SET_KEYS[kind], fields):
+        vector = key in _VECTOR_KEYS
+        if not (isinstance(v, list) and all(map(_is_number, v))
+                if vector else _is_number(v)):
+            raise ValueError("%s: %s %r must be %s, not %r" % (
+                where, kind, key,
+                "a list of numbers" if vector else "a number", v))
+    A = getattr(SetSpec, kind)(*fields)
     for key, vec in (("low", A.low), ("high", A.high),
                      ("center", A.center), ("normal", A.normal)):
         if vec is not None and len(vec) != d:
@@ -120,6 +134,10 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
     if kind == "halfline" and d != 1:
         raise ValueError("%s: a halfline has dimension 1 but the data have "
                          "dimension %d" % (where, d))
+    if kind == "ball" and any(A.center):
+        raise ValueError("%s: ball 'center' %r is not the origin; only "
+                         "centered balls are supported"
+                         % (where, obj["center"]))
     return A
 
 
@@ -247,9 +265,9 @@ def cmd_tstat_study(args) -> int:
     x = np.stack([w, w ** 2], axis=1)
     stats = bl.sample_stats(x, args.s)
     e = bl.empirical_edgeworth(x, args.s)
-    mc_rng = bl.child_rng(args.seed, 203)
     q_tilde, ses, singular = bl.edgeworth_tstat_curve(
-        tgrid, e, stats, float(w.mean()), args.n, args.mc_budget, mc_rng)
+        tgrid, e, stats, float(w.mean()), args.n, args.mc_budget, args.seed,
+        (203,))
     out_dir = _out_dir(args.out)
     csv_path = os.path.join(out_dir, "tstat_study.csv")
     sup = _write_comparison(csv_path, "t", [repr(float(t)) for t in tgrid],

@@ -260,7 +260,7 @@ def test_criterion_10_tstat_consistency():
         stats = sample_stats(x, 2)
         e = empirical_edgeworth(x, 3)
         vals, ses, _ = edgeworth_tstat_curve(grid, e, stats, float(w.mean()),
-                                             n, budget, child_rng(0, 506, n))
+                                             n, budget, 0, (506, n))
         dev = float(np.max(np.abs(cdf - vals)))
         band = dkw_halfwidth(B) + float(ses.max())
         seq.append((n, dev, band))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,9 +256,9 @@ def test_tstat_curve_consistent_with_pointwise():
     rng_state = 2718
     grid = np.array([-1.0, 0.0, 1.5])
     vals, ses, sing = edgeworth_tstat_curve(grid, e, st, w.mean(), 300,
-                                            100_000, child_rng(rng_state))
+                                            100_000, rng_state)
     v0, s0, _ = edgeworth_tstat_curve(np.array([0.0]), e, st, w.mean(), 300,
-                                      100_000, child_rng(rng_state))
+                                      100_000, rng_state)
     assert vals[1] == pytest.approx(v0[0], abs=1e-12)
     assert np.all(np.diff(vals) > 0)        # CDF-like on this grid
     assert np.all(ses > 0)
@@ -271,8 +273,87 @@ def test_tstat_curve_tracks_gaussian_for_gaussian_data():
     from scipy.stats import norm
     grid = np.linspace(-2, 2, 9)
     vals, ses, _ = edgeworth_tstat_curve(grid, e, st, w.mean(), 400,
-                                         400_000, child_rng(16))
+                                         400_000, 16)
     assert np.max(np.abs(vals - norm.cdf(grid))) < 0.02
+
+
+def _tstat_curve_setup(n, seed):
+    w = skewed_sample(n, seed=seed)[:, 0]
+    data = np.stack([w, w * w], axis=1)
+    return (sample_stats(data, 2), empirical_edgeworth(data, 3),
+            float(w.mean()))
+
+
+def _whole_array_tstat_curve(t_grid, e, st, wbar, n, z):
+    """The curve as it was computed before chunking: one sort and one
+    cumulative sum over all of z."""
+    budget = z.shape[0]
+    w = e.weight(z)
+    u, valid = tstat_pushforward(z, st, wbar, n)
+    w_eff = np.where(valid, w, 0.0)
+    u_eff = np.where(valid, u, np.inf)
+    order = np.argsort(u_eff)
+    csum = np.concatenate([[0.0], np.cumsum(w_eff[order])])
+    csum_sq = np.concatenate([[0.0], np.cumsum(w_eff[order] ** 2)])
+    pos = np.searchsorted(u_eff[order], t_grid, side="right")
+    values = csum[pos] / budget
+    var = np.maximum(csum_sq[pos] / budget - values ** 2, 0.0) / budget
+    return values, np.sqrt(var), int(np.sum(~valid))
+
+
+def test_tstat_curve_matches_whole_array_reference():
+    """Three chunks, the last of 5 points, against one sort over their
+    concatenated draws; n = 20 leaves singular points.  The chunk sums add
+    in another order than one cumulative sum, so the values agree to
+    rounding (measured up to 4e-14 over 40 samples), not bit for bit."""
+    n, budget, chunk = 20, 2 * bootstrap._MC_CHUNK + 5, bootstrap._MC_CHUNK
+    st, e, wbar = _tstat_curve_setup(n, seed=30)
+    z = np.concatenate([child_rng(8, 203, ci).standard_normal(
+        (min(chunk, budget - ci * chunk), 2)) for ci in range(3)])
+    grid = np.arange(-4.0, 4.025, 0.05)
+    vals, ses, sing = edgeworth_tstat_curve(grid, e, st, wbar, n, budget,
+                                            8, (203,))
+    ref_vals, ref_ses, ref_sing = _whole_array_tstat_curve(grid, e, st,
+                                                           wbar, n, z)
+    assert sing == ref_sing > 0
+    assert np.max(np.abs(vals - ref_vals)) < 1e-12
+    assert np.max(np.abs(ses - ref_ses)) < 1e-12
+
+
+def test_tstat_curve_does_not_depend_on_workers(monkeypatch):
+    st, e, wbar = _tstat_curve_setup(20, seed=31)
+    grid = np.linspace(-3.0, 3.0, 25)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
+        runs.append(edgeworth_tstat_curve(
+            grid, e, st, wbar, 20, 3 * bootstrap._MC_CHUNK + 7, 9, (1, 2)))
+    for vals, ses, sing in runs[1:]:
+        assert np.array_equal(vals, runs[0][0])
+        assert np.array_equal(ses, runs[0][1])
+        assert sing == runs[0][2]
+
+
+def test_tstat_curve_memory_does_not_grow_with_budget(monkeypatch):
+    """At budget = 2^21 the whole-array curve allocated 208 MB; each of two
+    threads now holds one chunk's points and temporaries (about 8 MB)."""
+    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
+    st, e, wbar = _tstat_curve_setup(300, seed=32)
+    tracemalloc.start()
+    try:
+        edgeworth_tstat_curve(np.linspace(-4.0, 4.0, 161), e, st, wbar, 300,
+                              2 ** 21, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 12 * bootstrap._MC_CHUNK * 16
+
+
+@pytest.mark.parametrize("budget", [2.5, 0, -5])
+def test_tstat_curve_refuses_a_bad_budget(budget):
+    st, e, wbar = _tstat_curve_setup(50, seed=33)
+    with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+        edgeworth_tstat_curve([0.0], e, st, wbar, 50, budget, 0)
 
 
 # -- deviations -------------------------------------------------------------

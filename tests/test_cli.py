@@ -158,7 +158,8 @@ def test_resampling_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
     B = str(2 * 16384 + 5)
     runs = [
         (["tstat-study", "--n", "120", "--B", B, "--tgrid=-2:2:0.25",
-          "--mc-budget", "20000"], ["tstat_study.csv", "tstat_study.json"]),
+          "--mc-budget", str(2 * 65536 + 5)],
+         ["tstat_study.csv", "tstat_study.json"]),
         (["bootstrap-compare", "--data", data, "--sets", str(spec),
           "--B", B], ["bootstrap_compare.csv", "bootstrap_compare.json"]),
     ]
@@ -336,6 +337,50 @@ def test_set_of_another_dimension_is_refused(tmp_path, capsys, monkeypatch,
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps([{"kind": "ball", "center": [0.0] * 3,
                                  "radius": 1.0}, spec]))
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
+                   "--out", str(tmp_path / "o")],
+                  ["%s set 1: " % sets] + words, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_shifted_ball_is_refused_before_resampling(tmp_path, capsys,
+                                                  monkeypatch):
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(4).normal(size=(50, 3)))
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([
+        {"kind": "ball", "center": [0.0] * 3, "radius": 1.0},
+        {"kind": "ball", "center": [0.5, 0.0, 0.0], "radius": 1.0}]))
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
+                   "--out", str(tmp_path / "o")],
+                  ["%s set 1: " % sets, "[0.5, 0.0, 0.0]",
+                   "only centered balls"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec, words", [
+    ({"kind": "box", "low": -1.0, "high": [1.0, 1.0]},
+     ["box 'low' must be a list of numbers", "-1.0"]),
+    ({"kind": "box", "low": [-1.0, -1.0], "high": 1.0},
+     ["box 'high' must be a list of numbers", "1.0"]),
+    ({"kind": "ball", "center": 0.0, "radius": 1.0},
+     ["ball 'center' must be a list of numbers", "0.0"]),
+    ({"kind": "halfspace", "normal": 1.0, "offset": 0.0},
+     ["halfspace 'normal' must be a list of numbers", "1.0"]),
+    ({"kind": "box", "low": [-1.0, "a"], "high": [1.0, 1.0]},
+     ["box 'low' must be a list of numbers", "'a'"]),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": [1.0]},
+     ["ball 'radius' must be a number", "[1.0]"]),
+])
+def test_set_key_of_the_wrong_type_is_refused(tmp_path, capsys, monkeypatch,
+                                              spec, words):
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(4).normal(size=(50, 2)))
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([{"kind": "halfspace", "normal": [1, 0],
+                                 "offset": 0.0}, spec]))
     monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
     _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
                    "--out", str(tmp_path / "o")],
