@@ -110,10 +110,10 @@ def _is_number(v) -> bool:
 
 
 def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
-    """The region of a --sets entry, refused unless each key holds a number
-    or, for a vector key, a list of numbers, it lives in the data's
-    dimension d (a half-line in dimension 1) and a ball is centered at the
-    origin."""
+    """The region of a --sets entry, refused, with the entry named, unless
+    each key holds a number or, for a vector key, a list of numbers, the
+    region is well formed, it lives in the data's dimension d (a
+    half-line in dimension 1) and a ball is centered at the origin."""
     kind = _need(obj, "kind", where)
     if kind not in _SET_KEYS:
         raise ValueError("%s: unknown set kind %r" % (where, kind))
@@ -125,7 +125,10 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
             raise ValueError("%s: %s %r must be %s, not %r" % (
                 where, kind, key,
                 "a list of numbers" if vector else "a number", v))
-    A = getattr(SetSpec, kind)(*fields)
+    try:
+        A = getattr(SetSpec, kind)(*fields)
+    except ValueError as exc:       # bounds out of order, radius < 0, ...
+        raise ValueError("%s: %s" % (where, exc)) from None
     for key, vec in (("low", A.low), ("high", A.high),
                      ("center", A.center), ("normal", A.normal)):
         if vec is not None and len(vec) != d:

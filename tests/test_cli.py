@@ -373,8 +373,14 @@ def test_shifted_ball_is_refused_before_resampling(tmp_path, capsys,
      ["box 'low' must be a list of numbers", "'a'"]),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": [1.0]},
      ["ball 'radius' must be a number", "[1.0]"]),
+    ({"kind": "box", "low": [1.0, 0.0], "high": [0.0, 1.0]},
+     ["low <= high"]),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": -1.0},
+     ["radius must be >= 0"]),
+    ({"kind": "halfspace", "normal": [0.0, 0.0], "offset": 0.0},
+     ["normal must be nonzero"]),
 ])
-def test_set_key_of_the_wrong_type_is_refused(tmp_path, capsys, monkeypatch,
+def test_bad_set_value_is_refused(tmp_path, capsys, monkeypatch,
                                               spec, words):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(4).normal(size=(50, 2)))
