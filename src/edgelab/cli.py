@@ -129,8 +129,8 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
         A = getattr(SetSpec, kind)(*fields)
     except ValueError as exc:       # bounds out of order, radius < 0, ...
         raise ValueError("%s: %s" % (where, exc)) from None
-    for key, vec in (("low", A.low), ("high", A.high),
-                     ("center", A.center), ("normal", A.normal)):
+    for key in _VECTOR_KEYS:
+        vec = getattr(A, key)
         if vec is not None and len(vec) != d:
             raise ValueError("%s: %s %r has dimension %d but the data have "
                              "dimension %d" % (where, kind, key, len(vec), d))
