@@ -7,16 +7,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import pi, sqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cumulants import (CumulantSet, MultiIndex, as_points,
-                        enumerate_multi_indices, inv_sqrt_spd,
+from .cumulants import (CumulantSet, MultiIndex, _series_substitute_linear,
+                        as_points, enumerate_multi_indices, inv_sqrt_spd,
                         moments_to_cumulants, multi_factorial,
                         raw_moments_from_points)
-from .expansion import EdgeworthExpansion, SetSpec, build_expansion
+from .expansion import (EdgeworthExpansion, SetSpec, _hermite_column,
+                        _hermite_interval, build_expansion)
 from .jets import series_mul, series_pow
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "tstat_bootstrap",
     "tstat_pushforward",
     "edgeworth_tstat_curve",
+    "edgeworth_tstat_exact",
     "sup_deviation",
     "enlargement_deviation",
     "child_rng",
@@ -40,6 +42,9 @@ __all__ = [
 _CHUNK = 16384   # fixed bootstrap chunk so streams do not depend on workers
 _BLOCK = 2 ** 16  # index elements drawn and reduced at once within a chunk
 _MC_CHUNK = 2 ** 16  # importance-sample points per t-statistic curve chunk
+_GL_NODES = 64   # Gauss-Legendre nodes per piece of the t-statistic p-integral
+_EDGE = 12.0     # Gaussian mass beyond |p| = 12 is below 1e-32
+_T_BLOCK = 16    # grid points per quadrature block; bounds the node arrays
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -322,6 +327,127 @@ def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     # se of mean(1{u<=t} w): sqrt((E w^2 1 - (E w 1)^2)/budget)
     var = np.maximum(second - values ** 2, 0.0) / budget
     return values, np.sqrt(var), sum(k for _, k in parts)
+
+
+def edgeworth_tstat_exact(t_grid, e: EdgeworthExpansion, stats: SampleStats,
+                          wbar: float, n: int
+                          ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Expansion measure of the t-statistic regions {u <= t}, by quadrature.
+
+    Returns (values, error bounds, singular mass) on the t grid: the
+    values of a 64-node rule, their distance to a 32-node rule, and the
+    expansion mass of the singular set {x2 <= x1^2}, where the statistic
+    is undefined.  The same regions as edgeworth_tstat_curve, without
+    Monte Carlo error; nothing is random.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    values, singular = _tstat_quadrature(t_grid, e, stats, wbar, n,
+                                         _GL_NODES)
+    coarse, _ = _tstat_quadrature(t_grid, e, stats, wbar, n, _GL_NODES // 2)
+    return values, np.abs(values - coarse), singular
+
+
+def _quadratic_roots(c2, c1, c0) -> Tuple[np.ndarray, np.ndarray]:
+    """The roots of c2 x^2 + c1 x + c0 for c2 > 0; NaN where complex."""
+    with np.errstate(invalid="ignore"):
+        disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    return (-c1 - disc) / (2.0 * c2), (-c1 + disc) / (2.0 * c2)
+
+
+def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
+                      stats: SampleStats, wbar: float, n: int,
+                      nodes: int) -> Tuple[np.ndarray, float]:
+    """The measures of {u <= t} on the grid and of the singular set, with
+    a `nodes`-point Gauss-Legendre rule per piece of the p-integral.
+
+    Write z = p e_p + q e_q, with e_p along the first row s1 of
+    S = Vhat^{1/2} and beta = s2.e_q > 0.  The statistic's mean shift is
+    then a = sqrt(n)(mu1 - wbar) + |s1| p, and its variance is
+    beta (q - q0(p)) / sqrt(n) with q0 quadratic in p; so for each p the
+    region {u <= t} is one q-interval, with q0 and
+    qa = q0 + (a/t)^2 sqrt(n)/beta as its ends, and the singular set is
+    q <= q0.  Tensor Hermite polynomials rotate like monomials, so the
+    rotated tables give the q-integral exactly (_hermite_interval).  The
+    p-integral over [-12, 12] is split where a = 0, whose side changes
+    the interval, and where q0 or qa crosses +-12: there an end sweeps
+    across the Gaussian bulk within a p-width of about |t|.
+    """
+    S = sqrt_spd(stats.cov)
+    r1 = float(np.hypot(*S[0]))
+    e_p = S[0] / r1
+    e_q = np.array([-e_p[1], e_p[0]])
+    if S[1] @ e_q < 0:
+        e_q = -e_q
+    beta = float(S[1] @ e_q)
+    K = e.max_hermite_degree
+    C = np.zeros((K + 1, K + 1))
+    for j, tab in e.hermite_coeffs.items():
+        rotated = _series_substitute_linear(tab, np.column_stack([e_p, e_q]),
+                                            K)
+        for (k1, k2), c in rotated.items():
+            C[k1, k2] += e.n ** (-j / 2.0) * c
+    rn = sqrt(n)
+    mu1, mu2 = (float(v) for v in stats.mean)
+    a0 = rn * (mu1 - wbar)
+    A0 = -(mu2 - mu1 * mu1) * rn / beta
+    A1 = -(float(S[1] @ e_p) - 2.0 * mu1 * r1) / beta
+    A2 = r1 * r1 / (rn * beta)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    q0_edges = [r for c0 in (A0 - _EDGE, A0 + _EDGE)
+                for r in _quadratic_roots(A2, A1, c0)]
+
+    def integral(edges, interval):
+        """For each row of breakpoints, the p-integral over the pieces
+        between them of He(p) phi(p) C He(q) phi(q) over the q-interval
+        interval(row, p, q0); empty intervals are skipped."""
+        edges = np.sort(np.clip(np.nan_to_num(edges, nan=-_EDGE),
+                                -_EDGE, _EDGE), axis=1)
+        row, piece = np.nonzero(np.diff(edges, axis=1) > 0)
+        lo, hi = edges[row, piece], edges[row, piece + 1]
+        half = (hi - lo)[:, None] / 2.0
+        p = ((lo + hi)[:, None] / 2.0 + half * x).ravel()
+        wt = (half * w).ravel()
+        row = np.repeat(row, nodes)
+        q_lo, q_hi = interval(row, p, A0 + (A1 + A2 * p) * p)
+        live = q_hi > q_lo
+        row, p, wt, q_lo, q_hi = (v[live] for v in (row, p, wt, q_lo, q_hi))
+        outer = _hermite_column(K, p) * (np.exp(-0.5 * p * p) * wt
+                                         / sqrt(2 * pi))
+        vals = np.einsum("kp,kl,lp->p", outer, C,
+                         _hermite_interval(K, q_lo, q_hi))
+        return np.bincount(row, vals, minlength=edges.shape[0])
+
+    def block(t):
+        # qa's quadratic coefficients; k is inf at t = 0, where the roots
+        # come out NaN and are dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = rn / (beta * t * t)
+            qa_edges = [r for c0 in (A0 - _EDGE, A0 + _EDGE)
+                        for r in _quadratic_roots(A2 + k * r1 * r1,
+                                                  A1 + 2.0 * k * a0 * r1,
+                                                  c0 + k * a0 * a0)]
+        edges = np.column_stack(
+            [np.broadcast_to(v, t.shape)
+             for v in [-_EDGE, _EDGE, -a0 / r1] + q0_edges] + qa_edges)
+
+        def interval(row, p, q0):
+            tt = t[row]
+            a = a0 + r1 * p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                qa = q0 + (a / tt) ** 2 * (rn / beta)
+            lo = np.where((tt > 0) & (a > 0), qa, q0)
+            hi = np.where(tt < 0, np.where(a < 0, qa, q0),
+                          np.where((tt > 0) | (a <= 0), np.inf, q0))
+            return lo, hi
+
+        return integral(edges, interval)
+
+    values = np.concatenate([block(t_grid[lo:lo + _T_BLOCK])
+                             for lo in range(0, t_grid.size, _T_BLOCK)])
+    singular = integral(
+        np.array([[-_EDGE, _EDGE] + q0_edges]),
+        lambda row, p, q0: (np.full_like(q0, -np.inf), q0))
+    return values, float(singular[0])
 
 
 def sup_deviation(members: Sequence, q_emp: Callable, q_tilde: Callable

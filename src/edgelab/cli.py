@@ -268,18 +268,17 @@ def cmd_tstat_study(args) -> int:
     x = np.stack([w, w ** 2], axis=1)
     stats = bl.sample_stats(x, args.s)
     e = bl.empirical_edgeworth(x, args.s)
-    q_tilde, ses, singular = bl.edgeworth_tstat_curve(
-        tgrid, e, stats, float(w.mean()), args.n, args.mc_budget, args.seed,
-        (203,))
+    q_tilde, errs, singular = bl.edgeworth_tstat_exact(
+        tgrid, e, stats, float(w.mean()), args.n)
     out_dir = _out_dir(args.out)
     csv_path = os.path.join(out_dir, "tstat_study.csv")
     sup = _write_comparison(csv_path, "t", [repr(float(t)) for t in tgrid],
-                            q_emp, q_tilde, ses)
+                            q_emp, q_tilde, errs)
     summary = {
         "family": args.family, "n": args.n, "B": args.B, "s": args.s,
         "sup_deviation": sup,
         "degenerate_draws": degenerate,
-        "singular_mc_points": singular,
+        "singular_mass": singular,
         "csv": csv_path,
     }
     _print_json(summary, os.path.join(out_dir, "tstat_study.json"))
@@ -382,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bootstrap-t CDF vs expansion measure")
     resample_args(sp, 200)
     sp.add_argument("--tgrid", default="-4:4:0.05")
-    sp.add_argument("--mc-budget", type=int, default=200_000)
+    sp.add_argument("--mc-budget", type=int, default=None,
+                    help="no effect: the expansion curve is computed by "
+                         "quadrature; removed once the benchmark stops "
+                         "passing it")
     sp.set_defaults(fn=cmd_tstat_study)
 
     sp = sub.add_parser("rate-study", help="rate study from a JSON config")

@@ -225,14 +225,10 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
     mod = np.minimum(modulus_fn(T), 1.0).reshape(n_r, n_d)
     slack = (1.0 - mod) * radii[:, None] ** b
 
-    evidence = []
-    for i in range(n_r):
-        j = int(np.argmin(slack[i]))
-        evidence.append({
-            "t": list(radii[i] * dirs[j]),
-            "modulus": float(mod[i, j]),
-            "slack": float(slack[i, j]),
-        })
+    rows, cols = np.arange(n_r), np.argmin(slack, axis=1)
+    evidence = [{"t": t, "modulus": m, "slack": sl} for t, m, sl in zip(
+        (radii[:, None] * dirs[cols]).tolist(), mod[rows, cols].tolist(),
+        slack[rows, cols].tolist())]
 
     i0, j0 = np.unravel_index(np.argmin(slack), slack.shape)
     best_mod, best_slack = float(mod[i0, j0]), float(slack[i0, j0])

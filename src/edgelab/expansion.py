@@ -320,12 +320,15 @@ class MeasureResult:
 
 def _ndtr(x: np.ndarray):
     """Standard normal CDF, erfc(-x / sqrt 2) / 2: a float for a 0-d array,
-    else an array filled by one elementwise pass; exactly 0 and 1 at -inf
-    and +inf."""
+    else an array filled by one elementwise pass over the entries that are
+    not infinite; exactly 0 and 1 at -inf and +inf."""
     if x.ndim == 0:
         return 0.5 * erfc(-float(x) / sqrt(2.0))
-    z = (np.negative(x, dtype=float) / sqrt(2.0)).ravel().tolist()
-    return 0.5 * np.fromiter(map(erfc, z), float, x.size).reshape(x.shape)
+    out = np.where(x > 0, 1.0, 0.0)
+    fin = ~np.isinf(x)
+    z = (np.negative(x[fin], dtype=float) / sqrt(2.0)).tolist()
+    out[fin] = 0.5 * np.fromiter(map(erfc, z), float, len(z))
+    return out
 
 
 def _hermite_interval(K: int, a, b) -> np.ndarray:

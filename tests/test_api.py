@@ -20,6 +20,8 @@ KEPT = {
                       "weight tests",
     "sup_deviation": "oracle: class-wide deviation in the bootstrap tests",
     "enlargement_deviation": "oracle: criterion 11's eta enlargement",
+    "edgeworth_tstat_curve": "oracle: criterion 10 and the quadrature's MC "
+                             "cross-check",
     "mean_weak_cramer_scan": "ROADMAP item 5: averaged scan for "
                              "non-identical units",
     "averaged_standardized_cumulants": "ROADMAP item 5: cumulants for "

@@ -5,13 +5,14 @@ import pytest
 
 from edgelab import bootstrap
 from edgelab.bootstrap import (_BLOCK, bootstrap_draws, child_rng,
-                               edgeworth_tstat_curve, empirical_edgeworth,
+                               edgeworth_tstat_curve, edgeworth_tstat_exact,
+                               empirical_edgeworth,
                                enlargement_deviation, event_checks,
                                g_value_and_jet, sample_stats, sqrt_spd,
                                sup_deviation, tstat_bootstrap,
                                tstat_pushforward)
 from edgelab.cumulants import inv_sqrt_spd
-from edgelab.expansion import SetSpec
+from edgelab.expansion import SetSpec, set_measure
 
 
 def skewed_sample(n, seed=0, d=1):
@@ -277,10 +278,10 @@ def test_tstat_curve_tracks_gaussian_for_gaussian_data():
     assert np.max(np.abs(vals - norm.cdf(grid))) < 0.02
 
 
-def _tstat_curve_setup(n, seed):
+def _tstat_curve_setup(n, seed, s=3):
     w = skewed_sample(n, seed=seed)[:, 0]
     data = np.stack([w, w * w], axis=1)
-    return (sample_stats(data, 2), empirical_edgeworth(data, 3),
+    return (sample_stats(data, 2), empirical_edgeworth(data, s),
             float(w.mean()))
 
 
@@ -354,6 +355,89 @@ def test_tstat_curve_refuses_a_bad_budget(budget):
     st, e, wbar = _tstat_curve_setup(50, seed=33)
     with pytest.raises(ValueError, match="budget must be an integer >= 1"):
         edgeworth_tstat_curve([0.0], e, st, wbar, 50, budget, 0)
+
+
+# (n, seed, s): at n = 100 the singular set holds about 1e-3 of mass
+_EXACT_CASES = [(100, 40, 3), (200, 41, 4), (400, 42, 3)]
+_TGRID = np.arange(-4.0, 4.025, 0.05)
+
+
+@pytest.mark.parametrize("n,seed,s", _EXACT_CASES)
+def test_tstat_exact_agrees_with_a_doubled_rule(n, seed, s):
+    st, e, wbar = _tstat_curve_setup(n, seed, s)
+    vals, _, sing = edgeworth_tstat_exact(_TGRID, e, st, wbar, n)
+    fine, fine_sing = bootstrap._tstat_quadrature(_TGRID, e, st, wbar, n,
+                                                  2 * bootstrap._GL_NODES)
+    assert np.max(np.abs(vals - fine)) < 1e-12
+    assert abs(sing - fine_sing) < 1e-12
+
+
+@pytest.mark.parametrize("n,seed,s", _EXACT_CASES)
+def test_tstat_exact_mass_adds_to_one(n, seed, s):
+    """{u <= 1e6} and the singular set {x2 <= x1^2} split the plane up to
+    the sliver u > 1e6, and the expansion's total mass is 1."""
+    st, e, wbar = _tstat_curve_setup(n, seed, s)
+    top, _, sing = edgeworth_tstat_exact([1e6], e, st, wbar, n)
+    assert abs(top[0] + sing - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n,seed", [(100, 43), (400, 44)])
+def test_tstat_exact_matches_monte_carlo(n, seed):
+    """The importance-sample curve at 4e6 points is the oracle: within 4 of
+    its standard errors at every grid point."""
+    st, e, wbar = _tstat_curve_setup(n, seed)
+    grid = np.arange(-4.0, 4.05, 0.1)
+    vals, _, sing = edgeworth_tstat_exact(grid, e, st, wbar, n)
+    mc, ses, _ = edgeworth_tstat_curve(grid, e, st, wbar, n, 4_000_000,
+                                       seed)
+    assert np.all(np.abs(vals - mc) < 4 * ses)
+
+
+def test_tstat_exact_at_zero_is_a_half_space():
+    """At t = 0 the region is {a <= 0} = {s1.z <= -sqrt(n)(mu1 - wbar)}
+    less its singular part, which is below 1e-12 here."""
+    n = 400
+    st, e, wbar = _tstat_curve_setup(n, seed=45)
+    vals, _, sing = edgeworth_tstat_exact([0.0], e, st, wbar, n)
+    assert abs(sing) < 1e-12
+    s1 = sqrt_spd(st.cov)[0]
+    half = set_measure(e, SetSpec.halfspace(
+        s1, -np.sqrt(n) * (st.mean[0] - wbar))).value
+    assert vals[0] == pytest.approx(half, abs=1e-12)
+
+
+def test_tstat_exact_one_point_and_negative_grids():
+    """Each grid point's value does not depend on the rest of the grid:
+    a one-point grid, a grid of negative t only and t = 0 read the same
+    as on the full grid, across its 16-point blocks."""
+    n = 100
+    st, e, wbar = _tstat_curve_setup(n, seed=46)
+    full, full_errs, sing = edgeworth_tstat_exact(_TGRID, e, st, wbar, n)
+    neg = _TGRID < 0
+    part, part_errs, part_sing = edgeworth_tstat_exact(_TGRID[neg], e, st,
+                                                       wbar, n)
+    assert np.allclose(part, full[neg], rtol=0, atol=1e-15)
+    assert np.allclose(part_errs, full_errs[neg], rtol=0, atol=1e-15)
+    assert part_sing == sing
+    for t in (0.0, -2.5, 3.0):
+        i = int(np.argmin(np.abs(_TGRID - t)))
+        one, _, _ = edgeworth_tstat_exact([_TGRID[i]], e, st, wbar, n)
+        assert one.shape == (1,)
+        assert one[0] == pytest.approx(full[i], abs=1e-15)
+    assert np.all(np.diff(full) > 0)   # CDF-like on this grid
+
+
+def test_tstat_exact_memory_does_not_grow_with_the_grid():
+    """Blocks of 16 grid points keep the node arrays at about 1.6 MB on a
+    161-point grid at s = 4; the whole grid at once allocates 11 MB."""
+    st, e, wbar = _tstat_curve_setup(400, seed=47, s=4)
+    tracemalloc.start()
+    try:
+        edgeworth_tstat_exact(_TGRID, e, st, wbar, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # -- deviations -------------------------------------------------------------

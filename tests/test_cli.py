@@ -133,16 +133,27 @@ def test_bootstrap_compare_custom_sets(tmp_path, capsys):
 
 
 def test_tstat_study_outputs(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["tstat-study", "--n", "150", "--B", "20000",
-               "--tgrid=-2:2:0.5", "--mc-budget", "50000",
-               "--out", str(out)])
-    assert rc == 0
+    """The expansion curve is a quadrature: --mc-budget is accepted and
+    changes no byte; mc_se holds the distance to the 32-node rule."""
+    outputs = []
+    for budget in ("1000", "50000"):
+        out = tmp_path / budget
+        rc = main(["tstat-study", "--n", "150", "--B", "20000",
+                   "--tgrid=-2:2:0.5", "--mc-budget", budget,
+                   "--out", str(out)])
+        assert rc == 0
+        outputs.append([(out / name).read_bytes().replace(
+            str(out).encode(), b"OUT")
+            for name in ("tstat_study.csv", "tstat_study.json")])
+    assert outputs[0] == outputs[1]
     summary = json.loads((out / "tstat_study.json").read_text())
     assert summary["sup_deviation"] < 0.1
+    assert abs(summary["singular_mass"]) < 1e-3
+    assert "singular_mc_points" not in summary
     lines = (out / "tstat_study.csv").read_text().splitlines()
     assert lines[0] == "t,q_emp,q_tilde,abs_dev,mc_se"
     assert len(lines) == 10          # 9 grid points
+    assert all(float(line.split(",")[4]) < 1e-5 for line in lines[1:])
 
 
 def test_resampling_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
@@ -157,8 +168,7 @@ def test_resampling_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
         {"kind": "ball", "center": [0.0, 0.0], "radius": 1.5}]))
     B = str(2 * 16384 + 5)
     runs = [
-        (["tstat-study", "--n", "120", "--B", B, "--tgrid=-2:2:0.25",
-          "--mc-budget", str(2 * 65536 + 5)],
+        (["tstat-study", "--n", "120", "--B", B, "--tgrid=-2:2:0.25"],
          ["tstat_study.csv", "tstat_study.json"]),
         (["bootstrap-compare", "--data", data, "--sets", str(spec),
           "--B", B], ["bootstrap_compare.csv", "bootstrap_compare.json"]),

@@ -167,6 +167,34 @@ def test_evidence_covers_every_radius():
     assert all({"t", "modulus", "slack"} <= set(rec) for rec in cert.evidence)
 
 
+@pytest.mark.parametrize("kind", ["lattice", "non-lattice"])
+def test_evidence_matches_a_per_radius_reference(kind):
+    """One record per radius: the first direction of least slack, as a
+    loop over the radii picks it.  On 1-d lattice data the two directions
+    tie at every radius."""
+    rng = np.random.default_rng(7)
+    if kind == "lattice":
+        pts = rng.integers(0, 3, size=(120, 1)).astype(float)
+    else:
+        pts = rng.standard_normal((150, 2)) @ [[1.0, 0.3], [0.0, 1.2]]
+    h = CharFunctionHandle.from_points(pts)
+    d = pts.shape[1]
+    cert = weak_cramer_scan(h, b=1.0, R=1.0, T_max=40.0, n_radii=64)
+    radii, dirs = scan_grid(d, 1.0, 40.0, 64, None)
+    T = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    mod = np.minimum(h.modulus(T), 1.0).reshape(radii.size, -1)
+    slack = (1.0 - mod) * radii[:, None]
+    reference = []
+    for i in range(radii.size):
+        j = int(np.argmin(slack[i]))
+        reference.append({"t": [float(v) for v in radii[i] * dirs[j]],
+                          "modulus": float(mod[i, j]),
+                          "slack": float(slack[i, j])})
+    if kind == "lattice":
+        assert np.all(slack[:, 0] == slack[:, 1])
+    assert cert.evidence == reference
+
+
 def test_scan_is_scale_covariant():
     """Scaling the data by a scales witness frequencies by 1/a."""
     rng = np.random.default_rng(2)
