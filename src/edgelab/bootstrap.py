@@ -379,12 +379,11 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
     if S[1] @ e_q < 0:
         e_q = -e_q
     beta = float(S[1] @ e_q)
+    Q = np.column_stack([e_p, e_q])
     K = e.max_hermite_degree
     C = np.zeros((K + 1, K + 1))
     for j, tab in e.hermite_coeffs.items():
-        rotated = _series_substitute_linear(tab, np.column_stack([e_p, e_q]),
-                                            K)
-        for (k1, k2), c in rotated.items():
+        for (k1, k2), c in _series_substitute_linear(tab, Q, K).items():
             C[k1, k2] += e.n ** (-j / 2.0) * c
     rn = sqrt(n)
     mu1, mu2 = (float(v) for v in stats.mean)
