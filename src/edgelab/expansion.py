@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import erfc, exp, factorial, gamma, inf, pi, sqrt
+from math import erfc, factorial, gamma, inf, lgamma, pi, sqrt
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -364,33 +364,59 @@ def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
                      [_hermite_interval(K, a, b) for a, b in zip(low, high)])
 
 
-def _lower_gamma_regularized(s: float, x: float) -> float:
-    """P(s, x) = gamma(s, x) / Gamma(s) for an integer or half-integer
-    s > 0 and x >= 0.
+def _lower_gamma_regularized(a: float, x) -> np.ndarray:
+    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, elementwise over x
+    (0 at x <= 0, 1 at x = inf).
 
-    Below x = s + 1 the series x^s e^-x sum_k x^k / (s)_{k+1} converges
-    fast and has positive terms.  Above it Q = 1 - P is summed upward by
-    Q(j + 1, x) = Q(j, x) + e^-x x^j / Gamma(j + 1), from
-    Q(1/2, x) = erfc(sqrt x) for half-integer s and from 0 at j = 0 for
-    integer s; there Q is below about 1/2, so 1 - Q does not cancel.
+    Both branches scale by x^a e^-x / Gamma(a), taken in log space as
+    exp(a ln x - x - lgamma(a)), so no factor overflows for any a.  Where
+    x^a and e^-x / Gamma(a) are both normal floats their direct product
+    is used: it is correctly rounded, while exp of a large log loses about
+    eps * |a ln x| (1e-13 relative at x = 1e-35, a = 7).  Below x = a + 1
+    the series sum_k x^k / (a)_{k+1} has positive terms and is summed 16
+    terms at a time; above it Q = 1 - P
+    is the continued fraction of Numerical Recipes (2007) section 6.2,
+    evaluated by the modified Lentz method, and Q < 1/2 there, so 1 - Q
+    does not cancel.
     """
-    if x < s + 1.0:
-        term = total = 1.0 / s
-        k = s
-        while term > 1e-17 * total:
-            k += 1.0
-            term *= x / k
-            total += term
-        return x ** s * exp(-x) * total / gamma(s)
-    if s % 1.0:
-        j, q, term = 0.5, erfc(sqrt(x)), exp(-x) * sqrt(x) / gamma(1.5)
-    else:
-        j, q, term = 0.0, 0.0, exp(-x)
-    while j < s:
-        q += term
-        j += 1.0
-        term *= x / j
-    return 1.0 - q
+    x = np.asarray(x, dtype=float)
+    out = np.where(x > 0, 1.0, 0.0)
+    live = (x > 0) & np.isfinite(x)
+    xl = x[live]
+    ax, lg = a * np.log(xl), lgamma(a)
+    pre = np.exp(ax - xl - lg)
+    direct = (np.abs(ax) < 700.0) & (xl + lg < 700.0)
+    pre[direct] = xl[direct] ** a * np.exp(-xl[direct] - lg)
+    series = xl < a + 1.0
+    xs = xl[series, None]
+    term = total = np.full(len(xs), 1.0 / a)
+    k = a + np.arange(1.0, 17.0)
+    while np.any(term > 1e-17 * total):
+        block = term[:, None] * np.cumprod(xs / k, axis=1)
+        total = total + block.sum(axis=1)
+        term = block[:, -1]
+        k += 16.0
+    xc = xl[~series]
+    tiny = 1e-300
+    b = xc + 1.0 - a
+    c = np.full(xc.shape, 1.0 / tiny)
+    d = h = 1.0 / b
+    i = 0
+    while xc.size:
+        i += 1
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        h = h * d * c
+        if np.all(np.abs(d * c - 1.0) <= 1e-15):
+            break
+    pre[series] *= total
+    pre[~series] = 1.0 - pre[~series] * h
+    out[live] = pre
+    return out
 
 
 def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
@@ -409,8 +435,8 @@ def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
                 continue
             a = sum(mu) + d
             if a not in radial:
-                radial[a] = 2.0 ** (a / 2.0) * _lower_gamma_regularized(
-                    a / 2.0, r * r / 2.0)
+                radial[a] = 2.0 ** (a / 2.0) * float(
+                    _lower_gamma_regularized(a / 2.0, r * r / 2.0))
             ang = 1.0
             for p in mu:
                 ang *= gamma((p + 1) / 2.0)

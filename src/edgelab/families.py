@@ -1,20 +1,22 @@
 """Distribution families used by the Monte Carlo studies.
 
 Each family carries a sampler, its analytic mean/sd, raw cumulants where
-closed forms exist, an optional exact characteristic function, and an
-optional shortcut for sampling standardized sums directly (sums of
-exponentials/gammas are gammas).
+closed forms exist, an optional exact characteristic function, the exact
+CDF of its standardized sums, and an optional shortcut for sampling those
+sums directly (sums of exponentials/gammas are gammas); the sum samplers
+serve the tests as the oracle of the exact law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from math import comb, exp, factorial, lgamma, log, sqrt
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .cumulants import CumulantSet, moments_to_cumulants, MomentSet
+from .expansion import _lower_gamma_regularized, _ndtr
 
 __all__ = ["Family", "make_family"]
 
@@ -32,6 +34,7 @@ class Family:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     cumulant_fn: Optional[Callable[[int], float]] = None   # raw kappa_r
     cf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sum_cdf_fn: Optional[Callable] = None                   # (n, x)
     sum_sampler: Optional[Callable] = None                  # (n, M, rng)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -51,6 +54,13 @@ class Family:
                 table[(r,)] = self.cumulant_fn(r) / self.sd ** r
         return CumulantSet(1, s, table, standardized=True)
 
+    def sum_cdf(self, n: int, x) -> np.ndarray:
+        """Exact P((sum of n draws - n mean) / (sd sqrt n) <= x), elementwise
+        over the array x."""
+        if self.sum_cdf_fn is None:
+            raise ValueError("family %r has no exact sum law" % self.name)
+        return self.sum_cdf_fn(n, np.asarray(x, dtype=float))
+
     def sum_sample(self, n: int, M: int, rng: np.random.Generator
                    ) -> np.ndarray:
         """M standardized sums (sum of n draws, centered and scaled)."""
@@ -64,6 +74,102 @@ class Family:
             out[lo:lo + m] = (draws.sum(axis=1) - n * self.mean) \
                 / (self.sd * sqrt(n))
         return out
+
+
+# ---------------------------------------------------------------------------
+# exact laws of standardized sums: each takes (n, x) and returns
+# P((S_n - n mean) / (sd sqrt n) <= x) elementwise over the array x
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n."""
+    return np.array([lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _gamma_sum_cdf(k: float):
+    """Sums of n centered Gamma(k) draws: S_n + nk ~ Gamma(nk)."""
+    def cdf(n, x):
+        a = n * k
+        return _lower_gamma_regularized(a, a + x * sqrt(a))
+    return cdf
+
+
+def _bernoulli_sum_cdf(p: float):
+    """S_n ~ Binomial(n, p).  The atoms are standardized with the float
+    expression of Family.sum_sample, so an atom that lands on a grid point
+    counts there as a simulated sum does."""
+    sd = sqrt(p * (1 - p))
+
+    def cdf(n, x):
+        k = np.arange(n + 1.0)
+        lf = _log_factorials(n)
+        pmf = np.exp(lf[n] - lf - lf[::-1] + k * log(p) + (n - k) * log(1 - p))
+        cum = np.concatenate(([0.0], np.cumsum(pmf)))
+        atoms = (k - n * p) / (sd * sqrt(n))
+        return cum[np.searchsorted(atoms, x, side="right")]
+    return cdf
+
+
+def _three_point_sum_cdf(mean: float, sd: float):
+    """S_n = B + C sqrt 2 for draws from {0, 1, sqrt 2}: C ~ Binomial(n,
+    1/3) draws sit at sqrt 2 and, given C = c, B ~ Binomial(n - c, 1/2),
+    so P(S_n <= y) = sum_c P(C = c) P(B <= floor(y - c sqrt 2)), with one
+    cumulative Binomial(n - c, 1/2) table per c."""
+    def cdf(n, x):
+        y = x * (sd * sqrt(n)) + n * mean
+        lf = _log_factorials(n)
+        out = np.zeros(x.shape)
+        for c in range(n + 1):
+            m = n - c
+            b = np.arange(m + 1)
+            cum = np.concatenate(([0.0], np.cumsum(
+                np.exp(lf[m] - lf[b] - lf[m - b] - m * log(2.0)))))
+            top = np.clip(np.floor(y - c * sqrt(2.0)), -1, m).astype(int)
+            out += (exp(lf[n] - lf[c] - lf[m] + c * log(1 / 3)
+                        + m * log(2 / 3)) * cum[top + 1])
+        return out
+    return cdf
+
+
+def _compositions(n: int, K: int):
+    """Every vector of K non-negative integers adding up to n, yielded in
+    blocks of at most n + 1 rows."""
+    if K == 1:
+        yield np.array([[n]])
+    elif K == 2:
+        j = np.arange(n + 1)
+        yield np.column_stack((j, n - j))
+    else:
+        for first in range(n + 1):
+            for rest in _compositions(n - first, K - 1):
+                yield np.column_stack((np.full(len(rest), first), rest))
+
+
+def _mixture_sum_cdf(w, mus, sigmas, mean: float, sd: float):
+    """Given the component counts N ~ Multinomial(n, w), S_n is normal
+    with mean N.mus and variance N.sigmas^2.  The count vectors run in
+    blocks of at most n + 1, so memory is O(n x grid) for any K; those
+    below 2^-60 / (their number) in probability, together below 2^-60, are
+    skipped.  Components of weight 0 never occur and are dropped."""
+    w, mus, var = (np.asarray(v, dtype=float) for v in (w, mus, sigmas))
+    w, mus, var = w[w > 0], mus[w > 0], var[w > 0] ** 2
+
+    def cdf(n, x):
+        y = x * (sd * sqrt(n)) + n * mean
+        lf = _log_factorials(n)
+        floor = 2.0 ** -60 / comb(n + len(w) - 1, len(w) - 1)
+        out = np.zeros(x.shape)
+        for counts in _compositions(n, len(w)):
+            pmf = np.exp(lf[n] - lf[counts].sum(axis=1)
+                         + (counts * np.log(w)).sum(axis=1))
+            keep = pmf > floor
+            if not keep.any():
+                continue
+            counts = counts[keep]
+            loc = (counts * mus).sum(axis=1)[:, None]
+            scale = np.sqrt((counts * var).sum(axis=1))[:, None]
+            out += (pmf[keep, None] * _ndtr((y - loc) / scale)).sum(axis=0)
+        return out
+    return cdf
 
 
 def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
@@ -101,6 +207,7 @@ def make_family(name: str, **theta) -> Family:
             sampler=lambda rng, m: rng.standard_normal(m),
             cumulant_fn=lambda r: {1: 0.0, 2: 1.0}.get(r, 0.0),
             cf=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)[..., 0] ** 2),
+            sum_cdf_fn=lambda n, x: _ndtr(x),
             sum_sampler=lambda n, M, rng: rng.standard_normal(M))
     if name == "bernoulli":
         p = float(theta.get("p", 0.5))
@@ -112,7 +219,8 @@ def make_family(name: str, **theta) -> Family:
             sampler=lambda rng, m: (rng.random(m) < p).astype(float),
             cumulant_fn=_discrete_cumulant_fn(support, weights),
             cf=lambda t: (1 - p) + p * np.exp(
-                1j * np.asarray(t, dtype=float)[..., 0]))
+                1j * np.asarray(t, dtype=float)[..., 0]),
+            sum_cdf_fn=_bernoulli_sum_cdf(p))
     if name == "three-point-irrational":
         support = np.array([0.0, 1.0, sqrt(2.0)])
         weights = np.full(3, 1 / 3)
@@ -124,7 +232,8 @@ def make_family(name: str, **theta) -> Family:
             sampler=lambda rng, m: support[rng.integers(0, 3, m)],
             cumulant_fn=_discrete_cumulant_fn(support, weights),
             cf=lambda t: np.mean(np.exp(
-                1j * np.asarray(t, dtype=float)[..., :1] * support), axis=-1))
+                1j * np.asarray(t, dtype=float)[..., :1] * support), axis=-1),
+            sum_cdf_fn=_three_point_sum_cdf(mean, sd))
     if name == "centered-exponential":
         return Family(
             name="centered-exponential", d=1, theta={}, lattice=False,
@@ -133,6 +242,7 @@ def make_family(name: str, **theta) -> Family:
             cumulant_fn=lambda r: 0.0 if r == 1 else float(factorial(r - 1)),
             cf=lambda t: np.exp(-1j * np.asarray(t, dtype=float)[..., 0])
                 / (1 - 1j * np.asarray(t, dtype=float)[..., 0]),
+            sum_cdf_fn=_gamma_sum_cdf(1.0),
             sum_sampler=lambda n, M, rng:
                 (rng.gamma(n, size=M) - n) / sqrt(n))
     if name == "gamma":
@@ -143,14 +253,15 @@ def make_family(name: str, **theta) -> Family:
             sampler=lambda rng, m: rng.gamma(k, size=m) - k,
             cumulant_fn=lambda r: 0.0 if r == 1
                 else float(factorial(r - 1)) * k,
+            sum_cdf_fn=_gamma_sum_cdf(k),
             sum_sampler=lambda n, M, rng:
                 (rng.gamma(n * k, size=M) - n * k) / sqrt(n * k))
     if name == "gaussian-mixture":
         w = tuple(theta.get("weights", (0.5, 0.5)))
         mus = tuple(theta.get("means", (-1.0, 1.0)))
         sigmas = tuple(theta.get("sds", (0.5, 1.0)))
-        if abs(sum(w) - 1) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
+        if abs(sum(w) - 1) > 1e-12 or min(w) < 0:
+            raise ValueError("mixture weights must be >= 0 and sum to 1")
         mean = sum(wi * m for wi, m in zip(w, mus))
         second = sum(wi * (s * s + m * m) for wi, m, s in zip(w, mus, sigmas))
         sd = sqrt(second - mean ** 2)
@@ -164,5 +275,6 @@ def make_family(name: str, **theta) -> Family:
             theta={"weights": list(w), "means": list(mus),
                    "sds": list(sigmas)},
             lattice=False, mean=mean, sd=sd, sampler=sampler,
-            cumulant_fn=_mixture_cumulant_fn(w, mus, sigmas))
+            cumulant_fn=_mixture_cumulant_fn(w, mus, sigmas),
+            sum_cdf_fn=_mixture_sum_cdf(w, mus, sigmas, mean, sd))
     raise ValueError("unknown family %r" % (name,))

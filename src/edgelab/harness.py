@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import (bootstrap_draws, child_rng, empirical_edgeworth,
-                        map_chunks)
+from .bootstrap import bootstrap_draws, child_rng, empirical_edgeworth
 from .expansion import build_expansion
 from .families import Family
 
@@ -36,8 +35,6 @@ __all__ = [
     "emit_report",
     "default_t_grid",
 ]
-
-_SUM_CHUNK = 2 ** 16  # standardized sums per chunk in analytic mode
 
 
 def default_t_grid() -> np.ndarray:
@@ -111,17 +108,11 @@ def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
     return slope, float("nan")
 
 
-def _counts_at(samples: np.ndarray, grid) -> np.ndarray:
-    """Number of samples at or below each grid point; sorts samples in
-    place."""
-    samples.sort()
-    return np.searchsorted(samples, np.asarray(grid, dtype=float),
-                           side="right")
-
-
 def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
     """Empirical CDF of samples at each grid point; sorts samples in place."""
-    return _counts_at(samples, grid) / samples.size
+    samples.sort()
+    return np.searchsorted(samples, np.asarray(grid, dtype=float),
+                           side="right") / samples.size
 
 
 def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
@@ -129,26 +120,27 @@ def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
                      ) -> Tuple[np.ndarray, float]:
     """Empirical CDF of M standardized sums on a grid, with its DKW band.
 
-    Chunk ci holds sums ci * _SUM_CHUNK onwards, drawn from the stream
-    (seed, *stream_key, ci); it sorts them and counts those at or below
-    each grid point.  The chunks run through map_chunks and their integer
-    counts add up exactly, so the CDF does not depend on the CPU count and
-    each thread holds one chunk of sums at a time.
+    The numbers of M sums in the cells (-inf, t_0], (t_0, t_1], ...,
+    (t_last, inf) follow the Multinomial(M, p) law, p the increments of the
+    exact CDF family.sum_cdf(n, t_grid); one draw from the stream
+    child_rng(seed, *stream_key) gives them, and their cumulative sums are
+    the counts at or below each grid point.  This is the same experiment as
+    simulating the M sums, in O(grid) memory and time for any M, on one
+    thread.
     """
-    def counts(ci):
-        m = min(_SUM_CHUNK, M - ci * _SUM_CHUNK)
-        rng = child_rng(seed, *stream_key, ci)
-        return _counts_at(family.sum_sample(n, m, rng), t_grid)
-
-    return (sum(map_chunks(counts, -(-M // _SUM_CHUNK))) / M,
-            dkw_halfwidth(M))
+    F = np.clip(family.sum_cdf(n, t_grid), 0.0, 1.0)
+    p = np.maximum(np.diff(F, prepend=0.0, append=1.0), 0.0)
+    counts = child_rng(seed, *stream_key).multinomial(M, p)
+    return np.cumsum(counts[:-1]) / M, dkw_halfwidth(M)
 
 
 def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
           t_grid, seed: int) -> List[StudyRecord]:
     """Sup deviations at one (n, rep) for each s: in analytic mode the
-    simulated sum against the analytic-cumulant expansion, in bootstrap
-    mode bootstrap draws against the empirical-cumulant expansion."""
+    empirical CDF of M sums, drawn from the sum's exact law by
+    exact_sum_cdf_mc on the stream (seed, family key, 0, n, rep), against
+    the analytic-cumulant expansion; in bootstrap mode bootstrap draws
+    against the empirical-cumulant expansion."""
     fam_key = _family_key(family.name)
     if mode == "analytic":
         cdf, band = exact_sum_cdf_mc(family, n, M, t_grid, seed,
@@ -180,12 +172,12 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
                reps: int = 1, workers: int = 1) -> StudyReport:
     """Sup-deviation metric across an n-grid, with the s=2 Gaussian baseline.
 
-    analytic mode compares the simulated exact distribution of the
-    standardized sum against the analytic-cumulant expansion; bootstrap
-    mode compares bootstrap draws against the empirical-cumulant
-    expansion.  Both evaluate on default_t_grid().  The (n, rep) cells run
-    on a pool of `workers` threads.  Fitted log-log slopes use non-flagged
-    records only.
+    analytic mode compares the empirical CDF of M standardized sums, drawn
+    from the sum's exact law (exact_sum_cdf_mc), against the
+    analytic-cumulant expansion; bootstrap mode compares bootstrap draws
+    against the empirical-cumulant expansion.  Both evaluate on
+    default_t_grid().  The (n, rep) cells run on a pool of `workers`
+    threads.  Fitted log-log slopes use non-flagged records only.
     """
     n_grid = list(n_grid)
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):

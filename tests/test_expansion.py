@@ -1,14 +1,14 @@
 import json
 import math
 from fractions import Fraction
-from math import factorial, sqrt, pi
+from math import factorial, inf, sqrt, pi
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import gammainc, ndtr
 from scipy.stats import norm
 
 from edgelab import expansion
@@ -293,6 +293,34 @@ def test_lower_incomplete_gamma_matches_scipy(two_s, x):
         assert 0.0 <= got < 1e-279
     else:
         assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.5, 30.0, 170.5, 400.0,
+                               3200.0, 4e4])
+def test_lower_incomplete_gamma_matches_scipy_for_large_shapes(a):
+    """P(a, x) at x = a + t sqrt(a), t in [-5, 5] (the standardized sums'
+    grid), and far out in both tails, within 1e-10 of scipy's gammainc."""
+    x = np.concatenate([a + np.linspace(-5.0, 5.0, 401) * sqrt(a),
+                        [a / 50.0, 3.0 * a + 100.0]])
+    x = x[x >= 0.0]
+    assert np.max(np.abs(_lower_gamma_regularized(a, x)
+                         - gammainc(a, x))) <= 1e-10
+
+
+@pytest.mark.parametrize("a, x", [(200.0, 190.0), (0.5, 900.0),
+                                  (750.0, 800.0), (4e4, 4e4)])
+def test_lower_incomplete_gamma_neither_overflows_nor_underflows(a, x):
+    """x^a alone overflows at (200, 190) and (4e4, 4e4), and e^-x alone
+    underflows to 0 at x = 800, which once gave P(750, 800) = 1."""
+    assert float(_lower_gamma_regularized(a, x)) == pytest.approx(
+        gammainc(a, x), rel=1e-10, abs=0.0)
+
+
+def test_lower_incomplete_gamma_edges():
+    got = _lower_gamma_regularized(3.0, np.array([[-1.0, 0.0], [inf, 2.0]]))
+    assert got.shape == (2, 2)
+    assert got[0].tolist() == [0.0, 0.0] and got[1, 0] == 1.0
+    assert got[1, 1] == pytest.approx(gammainc(3.0, 2.0), rel=1e-14)
 
 
 # -- signed set measures ----------------------------------------------------

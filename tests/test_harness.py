@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import binom, norm
+from scipy.stats import gamma as gamma_law
 
-from edgelab import bootstrap, harness
+from edgelab import bootstrap
 from edgelab.bootstrap import child_rng
 from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
@@ -68,6 +69,10 @@ def test_gaussian_cf_is_exact():
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         make_family("gaussian-mixture", weights=(0.7, 0.6))
+    # the exact law would give a wrong answer where sampling refused
+    with pytest.raises(ValueError, match=">= 0"):
+        make_family("gaussian-mixture", weights=(0.6, 0.5, -0.1),
+                    means=(-2.0, 2.0, 0.0), sds=(1.0, 1.0, 1.0))
 
 
 # -- slope fitting ----------------------------------------------------------
@@ -104,45 +109,131 @@ def test_exact_sum_cdf_gaussian_band_honest():
     assert np.mean(hits) >= 0.99
 
 
-CHUNK = harness._SUM_CHUNK
-NO_SHORTCUT = Family(**{**make_family("centered-exponential").__dict__,
-                        "sum_sampler": None})
+# -- exact laws of the standardized sums --------------------------------------
+
+LAWS = {
+    "gaussian": make_family("gaussian"),
+    "bernoulli": make_family("bernoulli", p=0.3),
+    "centered-exponential": make_family("centered-exponential"),
+    "gamma": make_family("gamma", shape=0.7),
+    "three-point": make_family("three-point-irrational"),
+    "mixture-K2": make_family("gaussian-mixture"),
+    "mixture-K3": make_family("gaussian-mixture", weights=(0.2, 0.3, 0.5),
+                              means=(-1.0, 0.0, 2.0), sds=(0.5, 1.0, 0.7)),
+}
 
 
-@pytest.mark.parametrize("fam, M", [
-    (make_family("centered-exponential"), 1),
-    (make_family("centered-exponential"), CHUNK),
-    (make_family("gamma"), 2 * CHUNK + 5),
-    (NO_SHORTCUT, 2 * CHUNK + 5)],
-    ids=["one-sum", "one-chunk", "gamma-three-chunks", "no-shortcut"])
-def test_exact_sum_cdf_counts_match_concatenated_chunks(fam, M, monkeypatch):
-    """The summed chunk counts are the ECDF of all the chunks' sums."""
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_sum_cdf_agrees_with_simulated_sums(name):
+    """The exact law lies within the 99% DKW band of 2^17 simulated sums
+    at every grid point, for n = 30 and n = 7."""
+    fam = LAWS[name]
+    grid = default_t_grid()
+    M = 2 ** 17
+    for n in (30, 7):
+        sums = fam.sum_sample(n, M, child_rng(2024, n))
+        F = fam.sum_cdf(n, grid)
+        assert np.all(np.diff(F) >= -1e-14)
+        assert 0.0 <= F[0] and F[-1] <= 1.0 + 1e-12
+        assert np.max(np.abs(ecdf_on_grid(sums, grid) - F)) \
+            <= dkw_halfwidth(M)
+
+
+@pytest.mark.parametrize("fam, shape", [
+    (make_family("centered-exponential"), 1.0),
+    (make_family("gamma", shape=0.7), 0.7),
+    (make_family("gamma"), 2.0)], ids=["exponential", "gamma-0.7", "gamma-2"])
+def test_gamma_sum_cdf_matches_scipy(fam, shape):
+    grid = default_t_grid()
+    for n in (1, 25, 400, 3200):
+        a = n * shape
+        ref = gamma_law.cdf(a + grid * math.sqrt(a), a)
+        assert np.max(np.abs(fam.sum_cdf(n, grid) - ref)) <= 1e-10
+
+
+def test_bernoulli_sum_cdf_counts_atoms_on_grid_points():
+    """At p = 1/2 and n = 100 the atom k sits at (k - 50) / 5, and some of
+    these floats are grid points: such an atom counts at its own grid
+    point, as a simulated sum there does."""
+    fam = make_family("bernoulli", p=0.5)
+    grid = default_t_grid()
+    k = np.arange(101.0)
+    atoms = (k - 50.0) / 5.0
+    on = np.isin(grid, atoms)
+    assert on.sum() >= 11
+    assert np.allclose(fam.sum_cdf(100, grid[on]),
+                       binom.cdf(k[np.isin(atoms, grid)], 100, 0.5),
+                       rtol=1e-12, atol=0.0)
+    gap = np.min(np.abs(grid[:, None] - atoms[None, :]), axis=1)
+    off = (gap > 1e-9) & (np.abs(grid) < 4.0)
+    assert np.allclose(fam.sum_cdf(100, grid[off]),
+                       binom.cdf(np.floor(50.0 + 5.0 * grid[off]), 100, 0.5),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_mixture_sum_cdf_drops_components_of_weight_zero():
+    grid = default_t_grid()
+    two = make_family("gaussian-mixture", weights=(0.7, 0.3),
+                      means=(-1.0, 2.0), sds=(0.5, 0.7))
+    three = make_family("gaussian-mixture", weights=(0.7, 0.0, 0.3),
+                        means=(-1.0, 0.0, 2.0), sds=(0.5, 1.0, 0.7))
+    assert np.array_equal(three.sum_cdf(20, grid), two.sum_cdf(20, grid))
+
+
+def test_sum_cdf_needs_a_law():
+    fam = Family(**{**make_family("gaussian").__dict__, "sum_cdf_fn": None})
+    with pytest.raises(ValueError, match="no exact sum law"):
+        fam.sum_cdf(5, default_t_grid())
+
+
+@pytest.mark.parametrize("name, M", [("centered-exponential", 1),
+                                     ("bernoulli", 2 ** 16),
+                                     ("three-point", 2 * 2 ** 16 + 5),
+                                     ("mixture-K2", 2 ** 40)],
+                         ids=["one-sum", "bernoulli", "three-point",
+                              "mixture-2^40"])
+def test_exact_sum_cdf_counts_add_up_to_M(name, M):
+    """The counts are one Multinomial(M, p) draw from the stream
+    (seed, *stream_key), p the increments of the exact CDF; they add up to
+    M."""
+    fam = LAWS[name]
     grid = default_t_grid()
     key = (5, 0, 30, 1)
-    sums = np.concatenate([
-        fam.sum_sample(30, min(CHUNK, M - lo), child_rng(11, *key, ci))
-        for ci, lo in enumerate(range(0, M, CHUNK))])
-    assert sums.size == M
-    ref = ecdf_on_grid(sums, grid)
+    cdf, band = exact_sum_cdf_mc(fam, 30, M, grid, 11, key)
+    p = np.diff(fam.sum_cdf(30, grid), prepend=0.0, append=1.0)
+    counts = child_rng(11, *key).multinomial(M, np.maximum(p, 0.0))
+    assert counts.sum() == M
+    assert np.array_equal(cdf, np.cumsum(counts[:-1]) / M)
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+    assert band == dkw_halfwidth(M)
+
+
+def test_exact_sum_cdf_does_not_depend_on_cpus(monkeypatch):
+    fam = make_family("centered-exponential")
+    out = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
-        cdf, band = exact_sum_cdf_mc(fam, 30, M, grid, 11, key)
-        assert np.array_equal(cdf, ref)
-        assert band == dkw_halfwidth(M)
+        cdf, band = exact_sum_cdf_mc(fam, 30, 131_077, default_t_grid(), 11,
+                                     (5, 0, 30, 1))
+        out.append(cdf.tobytes() + np.float64(band).tobytes())
+    assert out[0] == out[1] == out[2]
 
 
-def test_exact_sum_cdf_memory_does_not_grow_with_M(monkeypatch):
-    """At M = 2^22 (32 MB of sums) each of two threads holds a few chunks
-    of sums at most."""
-    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
+def test_exact_sum_cdf_memory_does_not_grow_with_M():
+    """A cell holds a few arrays of the grid's size, as many at M = 2^40 as
+    at M = 1: the chunked sampler held 2^16 sums (0.5 MB) per thread."""
     fam = make_family("centered-exponential")
-    tracemalloc.start()
-    try:
-        exact_sum_cdf_mc(fam, 25, 2 ** 22, default_t_grid(), 0, (1,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 4 * CHUNK * 8
+    grid = default_t_grid()
+    peaks = []
+    for M in (1, 1, 2 ** 40):    # the first call warms numpy's caches
+        tracemalloc.start()
+        try:
+            exact_sum_cdf_mc(fam, 400, M, grid, 0, (1,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 4096
+    assert peaks[2] < 64 * grid.nbytes
 
 
 # -- rate studies -----------------------------------------------------------
@@ -203,14 +294,13 @@ def test_rate_study_workers_agree(tmp_path):
 
 
 def test_rate_study_reports_do_not_depend_on_cpus(tmp_path, monkeypatch):
-    """Analytic cells over three chunks (the last one partial) write the
-    same bytes on one, two and three CPUs."""
+    """Analytic cells write the same bytes on one, two and three CPUs."""
     fam = make_family("centered-exponential")
     reports = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
         rep = rate_study(fam, 3, [25, 50, 100, 200],
-                         M=2 * CHUNK + 5, seed=1)
+                         M=131_077, seed=1)
         emit_report(rep, "csv", str(tmp_path / "r.csv"))
         emit_report(rep, "json", str(tmp_path / "r.json"))
         reports.append(((tmp_path / "r.csv").read_bytes(),
