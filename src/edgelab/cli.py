@@ -32,8 +32,9 @@ def _out_dir(path: str | None) -> str:
 
 
 def _print_json(obj, path: str | None = None) -> None:
-    """Print obj as indented strict JSON, also to the file path if given."""
-    text = json.dumps(obj, indent=1, allow_nan=False)
+    """Print obj as one line of strict JSON, also to the file path if
+    given."""
+    text = json.dumps(obj, allow_nan=False)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

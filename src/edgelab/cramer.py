@@ -142,12 +142,17 @@ class CramerCertificate:
 # scan grids
 
 def _directions(d: int, n_dirs: Optional[int]) -> np.ndarray:
+    """Unit scan directions.  In d = 1, and in d = 2 for an even count m,
+    the second half is the exact negation of the first."""
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
         m = 64 if n_dirs is None else n_dirs
         ang = 2 * math.pi * (np.arange(m) + 0.5) / m
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        if m % 2 == 0:
+            u[m // 2:] = -u[:m // 2]
+        return u
     if d == 3:
         m = 256 if n_dirs is None else n_dirs
         # Fibonacci sphere
@@ -171,6 +176,10 @@ def scan_grid(d: int, R: float, T_max: float, n_radii: int = 512,
     if n_dirs is not None and n_dirs < 1:
         raise ValueError("need at least one scan direction, got %d"
                          % n_dirs)
+    if n_dirs is not None and d == 1:
+        raise ValueError("the direction count (--grid-dirs) applies to "
+                         "d = 2 and 3; a 1-d scan uses the directions +1 "
+                         "and -1")
     radii = np.geomspace(R, T_max, n_radii + 1)[1:]
     return radii, _directions(d, n_dirs)
 
@@ -220,6 +229,11 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
     if c is not None and not c > 0:
         raise ValueError("target margin c must be > 0, got %r" % (c,))
     radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
+    # |cf(-t)| = |cf(t)|: of an antipodal grid only the first half is
+    # scanned, so ties name the first direction of each pair
+    half = dirs.shape[0] // 2
+    if dirs.shape[0] % 2 == 0 and np.array_equal(dirs[half:], -dirs[:half]):
+        dirs = dirs[:half]
     n_r, n_d = radii.size, dirs.shape[0]
     T = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     mod = np.minimum(modulus_fn(T), 1.0).reshape(n_r, n_d)
@@ -267,6 +281,8 @@ def weak_cramer_scan(h: CharFunctionHandle, b: float, R: float, T_max: float,
     direction, between the neighbouring grid radii.  The slack is flat to
     rounding near its minimum, so the search locates the witness radius
     to about 1.5e-8 relative (sqrt(eps)) and the margin c to rounding.
+    Since |cf(-t)| = |cf(t)|, an antipodal grid (d = 1, and d = 2 with an
+    even direction count) is evaluated on its first half only.
     """
     return _scan(h.modulus, h.dimension, b, R, T_max, n_radii, n_dirs, c)
 

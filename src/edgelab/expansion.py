@@ -364,9 +364,9 @@ def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
                      [_hermite_interval(K, a, b) for a, b in zip(low, high)])
 
 
-def _lower_gamma_regularized(a: float, x) -> np.ndarray:
-    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, elementwise over x
-    (0 at x <= 0, 1 at x = inf).
+def _lower_gamma_regularized(a, x) -> np.ndarray:
+    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, elementwise over the
+    broadcast of a and x (0 at x <= 0, 1 at x = inf).
 
     Both branches scale by x^a e^-x / Gamma(a), taken in log space as
     exp(a ln x - x - lgamma(a)), so no factor overflows for any a.  Where
@@ -379,32 +379,34 @@ def _lower_gamma_regularized(a: float, x) -> np.ndarray:
     evaluated by the modified Lentz method, and Q < 1/2 there, so 1 - Q
     does not cancel.
     """
-    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    lga = np.fromiter(map(lgamma, a.flat), float, a.size).reshape(a.shape)
+    a, lga, x = np.broadcast_arrays(a, lga, np.asarray(x, dtype=float))
     out = np.where(x > 0, 1.0, 0.0)
     live = (x > 0) & np.isfinite(x)
-    xl = x[live]
-    ax, lg = a * np.log(xl), lgamma(a)
+    xl, al, lg = x[live], a[live], lga[live]
+    ax = al * np.log(xl)
     pre = np.exp(ax - xl - lg)
     direct = (np.abs(ax) < 700.0) & (xl + lg < 700.0)
-    pre[direct] = xl[direct] ** a * np.exp(-xl[direct] - lg)
-    series = xl < a + 1.0
-    xs = xl[series, None]
-    term = total = np.full(len(xs), 1.0 / a)
-    k = a + np.arange(1.0, 17.0)
+    pre[direct] = xl[direct] ** al[direct] * np.exp(-xl[direct] - lg[direct])
+    series = xl < al + 1.0
+    xs, as_ = xl[series, None], al[series]
+    term = total = 1.0 / as_
+    k = as_[:, None] + np.arange(1.0, 17.0)
     while np.any(term > 1e-17 * total):
         block = term[:, None] * np.cumprod(xs / k, axis=1)
         total = total + block.sum(axis=1)
         term = block[:, -1]
         k += 16.0
-    xc = xl[~series]
+    xc, ac = xl[~series], al[~series]
     tiny = 1e-300
-    b = xc + 1.0 - a
+    b = xc + 1.0 - ac
     c = np.full(xc.shape, 1.0 / tiny)
     d = h = 1.0 / b
     i = 0
     while xc.size:
         i += 1
-        an = -i * (i - a)
+        an = -i * (i - ac)
         b = b + 2.0
         d = an * d + b
         d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
@@ -424,23 +426,24 @@ def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
     x^mu phi(x) integrates over the ball to 0 when some mu_k is odd, and
     otherwise to 2^(a/2) prod_k Gamma((mu_k + 1)/2) P(a/2, r^2/2)
     / (2 pi)^(d/2) with a = |mu| + d; the radial factor depends on mu only
-    through a, so it is computed once per degree."""
+    through a, so it is computed once per degree, in one kernel call."""
     d = e.dimension
-    radial: Dict[int, float] = {}
-    total = 0.0
+    terms = []
     for j, tab in e._monomial_coeffs.items():
         scale = e.n ** (-j / 2.0)
         for mu, c in tab.items():
             if any(p % 2 for p in mu):
                 continue
-            a = sum(mu) + d
-            if a not in radial:
-                radial[a] = 2.0 ** (a / 2.0) * float(
-                    _lower_gamma_regularized(a / 2.0, r * r / 2.0))
             ang = 1.0
             for p in mu:
                 ang *= gamma((p + 1) / 2.0)
-            total += scale * c * ang * radial[a]
+            terms.append((scale * c * ang, sum(mu) + d))
+    degrees = sorted({a for _, a in terms})
+    P = _lower_gamma_regularized(np.array(degrees) / 2.0, r * r / 2.0)
+    radial = {a: 2.0 ** (a / 2.0) * float(p) for a, p in zip(degrees, P)}
+    total = 0.0
+    for coef, a in terms:
+        total += coef * radial[a]
     return total / (2 * pi) ** (d / 2.0)
 
 

@@ -309,8 +309,7 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
                 "slopes": report.json_slopes(),
                 "records": [asdict(r) for r in report.records],
             }
-            text = json.dumps(payload, indent=1, sort_keys=True,
-                              allow_nan=False)
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
             with open(path, "w") as fh:
                 fh.write(text + "\n")
         else:

@@ -88,6 +88,57 @@ def test_scans_refuse_fewer_than_one_direction(tmp_path, capsys):
             assert "need at least one scan direction" in captured.err
 
 
+def test_scans_refuse_a_direction_count_for_one_dimensional_data(
+        spread_csv, capsys):
+    """--grid-dirs used to be ignored for 1-d data, which scan +1 and -1."""
+    for command in ("cf-scan", "certify"):
+        assert main([command, "--data", spread_csv, "--grid-dirs", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid-dirs" in captured.err
+
+
+def test_every_json_output_is_one_line_of_strict_json(tmp_path, capsys):
+    """Standard output of cf-scan, certify and expand, and the JSON files
+    (and printed summaries) of tstat-study, bootstrap-compare, rate-study
+    and uniform-sweep: one line, one trailing newline, no NaN or
+    Infinity token."""
+    rng = np.random.default_rng(6)
+    pts2 = write_points(tmp_path / "pts2.csv", rng.exponential(size=(60, 2)))
+    cfg = tmp_path / "rate.json"
+    cfg.write_text(json.dumps({"family": "centered-exponential", "s": 3,
+                               "n_grid": [25, 50, 100, 200], "M": 2000,
+                               "out": str(tmp_path / "rate")}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"families": [{"name": "gamma"}], "s": 3,
+                                 "n_grid": [25, 50, 100, 200], "M": 2000,
+                                 "out": str(tmp_path / "sweep")}))
+    runs = [
+        (["cf-scan", "--data", pts2, "--Tmax", "20", "--grid-radii", "16"],
+         None),
+        (["certify", "--data", pts2, "--Tmax", "20", "--grid-radii", "16"],
+         None),
+        (["expand", "--n", "30", "--s", "4"], None),
+        (["tstat-study", "--n", "60", "--B", "2000", "--tgrid=-1:1:0.5",
+          "--out", str(tmp_path / "t")], tmp_path / "t" / "tstat_study.json"),
+        (["bootstrap-compare", "--n", "60", "--B", "2000",
+          "--out", str(tmp_path / "b")],
+         tmp_path / "b" / "bootstrap_compare.json"),
+        (["rate-study", "--config", str(cfg)],
+         tmp_path / "rate" / "rate_study.json"),
+        (["uniform-sweep", "--config", str(sweep)],
+         tmp_path / "sweep" / "uniform_sweep.json"),
+    ]
+    for argv, path in runs:
+        assert main(argv) in (0, 2), argv
+        texts = [capsys.readouterr().out]
+        if path is not None:
+            texts.append(path.read_text())
+        for text in texts:
+            assert text.endswith("}\n") and text.count("\n") == 1, argv
+            json.loads(text, parse_constant=reject_constant)
+
+
 def test_certify_spread_data(spread_csv, capsys):
     rc = main(["certify", "--data", spread_csv, "--Tmax", "100",
                "--c", "1e-3"])

@@ -124,6 +124,32 @@ def test_scan_grid_validation():
                 scan_grid(d, 1.0, 10.0, n_dirs=n_dirs)
 
 
+@pytest.mark.parametrize("m", [2, 4, 10, 64])
+def test_even_plane_grid_is_antipodal(m):
+    """The second half of an even 2-d grid is the exact negation of the
+    first, so the scan may evaluate the first half only."""
+    dirs = cramer._directions(2, m)
+    assert np.array_equal(dirs[m // 2:], -dirs[:m // 2])
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    ang = 2 * math.pi * (np.arange(m // 2) + 0.5) / m
+    assert np.array_equal(dirs[:m // 2],
+                          np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 63])
+def test_odd_plane_grid_is_the_angle_grid(m):
+    ang = 2 * math.pi * (np.arange(m) + 0.5) / m
+    assert np.array_equal(cramer._directions(2, m),
+                          np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def test_direction_count_is_refused_in_one_dimension():
+    """The 1-d grid is +1 and -1; a count used to be ignored."""
+    for n_dirs in (1, 2, 7):
+        with pytest.raises(ValueError, match="--grid-dirs"):
+            scan_grid(1, 1.0, 10.0, n_dirs=n_dirs)
+
+
 def test_fibonacci_sphere_is_unit():
     _, dirs = scan_grid(3, 1.0, 10.0, n_radii=4)
     assert dirs.shape == (256, 3)
@@ -248,6 +274,98 @@ def test_refine_step_cap_bounds_the_search(monkeypatch):
     cramer._refine_radius(bowl_modulus(1e6, calls), np.array([1.0]), 1.0,
                           0.7e6, 1.5e6)
     assert len(calls) == cramer._REFINE_STEPS + 2
+
+
+# -- half-shell scans -------------------------------------------------------
+
+def full_shell_scan(modulus_fn, d, b, R, T_max, n_radii, n_dirs=None):
+    """The scan with |cf| evaluated at every grid direction: the grid
+    minimum over the whole shell, refined along its direction; returns
+    (status, c)."""
+    radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
+    T = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    mod = np.minimum(modulus_fn(T), 1.0).reshape(radii.size, -1)
+    slack = (1.0 - mod) * radii[:, None] ** b
+    i, j = np.unravel_index(np.argmin(slack), slack.shape)
+    best_mod, best_slack = mod[i, j], slack[i, j]
+    r_lo = radii[i - 1] if i > 0 else R
+    _, m, s = cramer._refine_radius(modulus_fn, dirs[j], b, r_lo,
+                                    radii[min(i + 1, radii.size - 1)])
+    if s < best_slack:
+        best_mod, best_slack = m, s
+    return ("no-margin" if 1.0 - best_mod <= 1e-12
+            else "certified-on-grid"), float(best_slack)
+
+
+def assert_matches_full_shell(cert, modulus_fn, d, b, T_max, n_radii,
+                              n_dirs=None):
+    status, c = full_shell_scan(modulus_fn, d, b, 1.0, T_max, n_radii,
+                                n_dirs)
+    assert cert.status == status
+    # a margin at the rounding of |cf| (a lattice) is compared absolutely
+    assert cert.c == pytest.approx(c, rel=1e-12, abs=1e-14)
+    # a one-row evaluation may round t'a differently from the grid's block
+    w = np.asarray(cert.witness)
+    assert cert.witness_modulus == pytest.approx(
+        float(modulus_fn(w[None, :])[0]), rel=0.0, abs=1e-13)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["generic", "lattice", "near-lattice"]),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=6),
+       st.sampled_from([0.5, 1.0, 2.0]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_half_shell_scan_matches_full_shell(kind, d, k, b, seed):
+    """Random atoms with random integer weights: the scan of the first
+    half of the antipodal grid gives the full shell's status and margin,
+    and its witness modulus is |cf| at the witness."""
+    rng = np.random.default_rng(seed)
+    atoms = rng.uniform(-2, 2, size=(k, d))
+    if kind != "generic":
+        atoms = np.round(atoms * 2) / 2
+    if kind == "near-lattice":
+        atoms = atoms + 1e-6 * rng.standard_normal((k, d))
+    h = CharFunctionHandle.from_points(
+        np.repeat(atoms, rng.integers(1, 5, size=k), axis=0))
+    cert = weak_cramer_scan(h, b, 1.0, 30.0, n_radii=48)
+    assert_matches_full_shell(cert, h.modulus, d, b, 30.0, 48)
+    # the scanned half: t > 0 in d = 1, angles in (0, pi) in d = 2
+    assert all(t[-1] > 0 for t in
+               [rec["t"] for rec in cert.evidence] + [cert.witness])
+
+
+@pytest.mark.parametrize("d, n_dirs, scanned", [
+    (1, None, 1), (2, None, 32), (2, 10, 5), (2, 7, 7), (3, None, 256)])
+def test_analytic_and_mean_scans_evaluate_half_an_antipodal_grid(
+        d, n_dirs, scanned):
+    """A Gaussian cf= handle and the mean of empirical moduli scan one
+    direction of each antipodal pair; an odd count and the Fibonacci
+    sphere, which have no antipodes, scan every direction."""
+    def gauss_cf(T):
+        return np.exp(-0.5 * np.sum(T ** 2, axis=1))
+
+    rows = []
+
+    def counted_cf(T):
+        rows.append(T.shape[0])
+        return gauss_cf(T)
+
+    cert = weak_cramer_scan(CharFunctionHandle(d, cf=counted_cf), 1.0, 1.0,
+                            6.0, 24, n_dirs)
+    assert rows[0] == 24 * scanned      # the grid; then the refinement
+    assert_matches_full_shell(cert, lambda T: np.abs(gauss_cf(T)), d, 1.0,
+                              6.0, 24, n_dirs)
+
+    rng = np.random.default_rng(5)
+    hs = [CharFunctionHandle.from_points(rng.exponential(size=(20, d)))
+          for _ in range(2)]
+
+    def mean_modulus(T):
+        return sum(h.modulus(T) for h in hs) / len(hs)
+
+    cert = mean_weak_cramer_scan(hs, 1.0, 1.0, 30.0, 24, n_dirs)
+    assert_matches_full_shell(cert, mean_modulus, d, 1.0, 30.0, 24, n_dirs)
 
 
 # The benchmark's certify data: 300 draws from six 2-d atoms, no two

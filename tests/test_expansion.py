@@ -316,6 +316,45 @@ def test_lower_incomplete_gamma_neither_overflows_nor_underflows(a, x):
         gammainc(a, x), rel=1e-10, abs=0.0)
 
 
+def test_lower_incomplete_gamma_broadcasts_its_shape():
+    """An array of a broadcasts with x, as one ball measure asks for
+    every degree at once; the (a, x) grid reaches large a and x > 745,
+    where e^-x alone underflows."""
+    a = np.array([0.5, 1.0, 1.5, 2.0, 3.5, 7.0, 30.0, 170.5, 750.0, 4e4])
+    x = np.array([1e-30, 0.3, 2.0, 9.5, 40.0, 160.0, 700.0, 746.0, 800.0,
+                  3e3, 4e4, 4.1e4])
+    got = _lower_gamma_regularized(a[:, None], x[None, :])
+    assert got.shape == (a.size, x.size)
+    assert np.max(np.abs(got - gammainc(a[:, None], x[None, :]))) <= 1e-10
+    # each element is the scalar-a kernel's value
+    for i, ai in enumerate(a):
+        assert np.allclose(got[i], _lower_gamma_regularized(ai, x),
+                           rtol=1e-15, atol=0.0)
+
+
+def test_ball_measure_matches_one_kernel_call_per_degree():
+    """The ball measure, with its radial factors from one array call,
+    equals the sum over even monomials with one scalar call per degree."""
+    rng = np.random.default_rng(11)
+    for d, s in [(1, 4), (2, 4), (3, 5)]:
+        e = build_expansion(standardized_cumulants(d, s, rng), 50, s)
+        for r in (0.2, 1.0, 1.6, 3.0, 8.0):
+            total = 0.0
+            for j, tab in e._monomial_coeffs.items():
+                for mu, c in tab.items():
+                    if any(p % 2 for p in mu):
+                        continue
+                    a = sum(mu) + d
+                    P = float(_lower_gamma_regularized(a / 2.0, r * r / 2.0))
+                    total += (50 ** (-j / 2.0) * c
+                              * math.prod(math.gamma((p + 1) / 2.0)
+                                          for p in mu)
+                              * 2.0 ** (a / 2.0) * P)
+            ref = total / (2 * pi) ** (d / 2.0)
+            got = set_measure(e, SetSpec.ball([0.0] * d, r)).value
+            assert got == pytest.approx(ref, rel=1e-14, abs=1e-16)
+
+
 def test_lower_incomplete_gamma_edges():
     got = _lower_gamma_regularized(3.0, np.array([[-1.0, 0.0], [inf, 2.0]]))
     assert got.shape == (2, 2)
