@@ -97,25 +97,19 @@ def bootstrap_draws(data, B: int, seed: int = 0,
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
     so the output is bit-identical for any number of worker threads;
-    resampling runs on every available CPU.  Each resample's mean adds
-    its n rows in sequence for d >= 2 and pairwise for d = 1.
+    resampling runs on every available CPU.  The points are resampled
+    coordinate by coordinate, from their transposed (d, n) copy, and each
+    coordinate of a resample's mean adds its n values pairwise.
     """
     pts = as_points(data)
-    n, d = pts.shape
+    n = pts.shape[0]
     stats, A = _standardizer(pts)
 
-    def mean_rows(res):
-        # For d >= 2, res.mean(axis=1) adds the rows in the same order but
-        # runs one d-element inner loop per row; einsum is about 4x faster.
-        # For d = 1 mean adds pairwise, and einsum would change the last bit.
-        if d == 1:
-            return res.mean(axis=1)
-        return np.einsum("rnk->rk", res) / n
-
     def standardize(means):
-        return sqrt(n) * (means - stats.mean) @ A.T
+        return sqrt(n) * (means.T - stats.mean) @ A.T
 
-    return _resample(pts, B, seed, stream_key, mean_rows, finish=standardize)
+    return _resample(np.ascontiguousarray(pts.T), B, seed, stream_key,
+                     lambda res: res.mean(axis=-1), finish=standardize)
 
 
 def _standardizer(pts: np.ndarray) -> Tuple[SampleStats, np.ndarray]:
@@ -146,17 +140,20 @@ def map_chunks(chunk: Callable[[int], object], n_chunks: int) -> list:
 def _resample(values: np.ndarray, B: int, seed: int,
               stream_key: Tuple[int, ...], reduce: Callable,
               finish: Optional[Callable] = None) -> np.ndarray:
-    """B resamples of the rows of values, reduced row by row.
+    """B resamples of the n entries along the last axis of values, each
+    reduced along that axis.
 
     Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
-    (seed, *stream_key, ci), in row blocks of about _BLOCK indices, each
-    passed to reduce; finish, if given, maps the chunk's concatenated
-    output.  The chunks run through map_chunks.  reduce must treat rows
-    independently.
+    (seed, *stream_key, ci), in row blocks of about _BLOCK indices: a
+    block of r resamples gathers values[..., idx] for its (r, n) indices
+    and is passed to reduce, which must treat resamples independently and
+    keep them on its output's last axis.  finish, if given, maps the
+    chunk's output, concatenated along that axis.  The chunks run through
+    map_chunks.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    n = values.shape[0]
+    n = values.shape[-1]
     rows = max(1, _BLOCK // n)
 
     def chunk(ci):
@@ -164,8 +161,8 @@ def _resample(values: np.ndarray, B: int, seed: int,
         rng = child_rng(seed, *stream_key, ci)
         out = np.concatenate([
             reduce(np.take(values, rng.integers(
-                0, n, size=(min(rows, m - lo), n)), axis=0))
-            for lo in range(0, m, rows)])
+                0, n, size=(min(rows, m - lo), n)), axis=-1))
+            for lo in range(0, m, rows)], axis=-1)
         return out if finish is None else finish(out)
 
     return np.concatenate(map_chunks(chunk, -(-B // _CHUNK)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import erfc, factorial, gamma, inf, lgamma, pi, sqrt
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,10 +148,21 @@ class EdgeworthExpansion:
                     for nu in tab), default=0)
 
     @cached_property
-    def _monomial_coeffs(self) -> Dict[int, Dict[MultiIndex, float]]:
-        """The Hermite tables in the monomial basis, built on first use."""
-        return {j: _basis_change(tab)
-                for j, tab in self.hermite_coeffs.items()}
+    def _ball_terms(self) -> List[Tuple[float, int]]:
+        """(n^(-j/2) c_mu prod_k Gamma((mu_k + 1)/2), |mu| + d) for each
+        monomial mu with even exponents of the Hermite tables rewritten in
+        the monomial basis; built on first use, for every centered ball."""
+        terms = []
+        for j, tab in self.hermite_coeffs.items():
+            scale = self.n ** (-j / 2.0)
+            for mu, c in _basis_change(tab).items():
+                if any(p % 2 for p in mu):
+                    continue
+                ang = 1.0
+                for p in mu:
+                    ang *= gamma((p + 1) / 2.0)
+                terms.append((scale * c * ang, sum(mu) + self.dimension))
+        return terms
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """Signed density divided by the Gaussian density, at points (m, d)."""
@@ -275,17 +286,23 @@ class SetSpec:
                        offset=float(offset))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        """Boolean membership for points of shape (m, d)."""
+        """Boolean membership for points of shape (m, d).  Boxes and balls
+        are tested one coordinate at a time, on the columns of x; a ball's
+        squared distance adds the coordinates first to last."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "halfline":
             return x[:, 0] <= self.threshold
         if self.kind == "box":
-            lo = np.asarray(self.low)
-            hi = np.asarray(self.high)
-            return np.all((x >= lo) & (x <= hi), axis=1)
+            inside = np.ones(x.shape[0], dtype=bool)
+            for col, lo, hi in zip(x.T, self.low, self.high):
+                inside &= col >= lo
+                inside &= col <= hi
+            return inside
         if self.kind == "ball":
-            ctr = np.asarray(self.center)
-            return np.sum((x - ctr) ** 2, axis=1) <= self.radius ** 2
+            dist2 = np.zeros(x.shape[0])
+            for col, c in zip(x.T, self.center):
+                dist2 += np.square(col - c)
+            return dist2 <= self.radius ** 2
         a = np.asarray(self.normal)
         return x @ a <= self.offset
 
@@ -425,45 +442,44 @@ def _centered_ball_measure(e: EdgeworthExpansion, r: float) -> float:
     """Measure of the centered ball of radius r.  In polar coordinates
     x^mu phi(x) integrates over the ball to 0 when some mu_k is odd, and
     otherwise to 2^(a/2) prod_k Gamma((mu_k + 1)/2) P(a/2, r^2/2)
-    / (2 pi)^(d/2) with a = |mu| + d; the radial factor depends on mu only
-    through a, so it is computed once per degree, in one kernel call."""
-    d = e.dimension
-    terms = []
-    for j, tab in e._monomial_coeffs.items():
-        scale = e.n ** (-j / 2.0)
-        for mu, c in tab.items():
-            if any(p % 2 for p in mu):
-                continue
-            ang = 1.0
-            for p in mu:
-                ang *= gamma((p + 1) / 2.0)
-            terms.append((scale * c * ang, sum(mu) + d))
+    / (2 pi)^(d/2) with a = |mu| + d (EdgeworthExpansion._ball_terms); the
+    radial factor depends on mu only through a, so it is computed once per
+    degree, in one kernel call."""
+    terms = e._ball_terms
     degrees = sorted({a for _, a in terms})
     P = _lower_gamma_regularized(np.array(degrees) / 2.0, r * r / 2.0)
     radial = {a: 2.0 ** (a / 2.0) * float(p) for a, p in zip(degrees, P)}
     total = 0.0
     for coef, a in terms:
         total += coef * radial[a]
-    return total / (2 * pi) ** (d / 2.0)
+    return total / (2 * pi) ** (e.dimension / 2.0)
 
 
 def _halfspace_measure(e: EdgeworthExpansion, normal, offset: float) -> float:
     """Measure of {a'x <= offset}.  He_nu(x) phi(x) = (-D)^nu phi(x), so
     the law of y = u'x with u = a/||a|| carries u^nu He_|nu|(y) phi(y): the
-    half-space is the half-line y <= offset/||a|| of the projected 1-d table
-    {(m,): sum over |nu| = m of c_nu u^nu}."""
+    half-space is the half-line y <= offset/||a|| of the projected 1-d
+    tables (_projected_tables)."""
     a = np.asarray(normal, dtype=float)
     norm = float(np.linalg.norm(a))
-    u = a / norm
+    ints = _hermite_interval(e.max_hermite_degree, -inf, offset / norm)
+    return float(_contract(_projected_tables(e, a / norm), e.n, [ints]))
+
+
+def _projected_tables(e: EdgeworthExpansion, u: np.ndarray
+                      ) -> Dict[int, Dict[MultiIndex, float]]:
+    """{j: {(m,): sum over |nu| = m of c_nu u^nu}} for the unit vector u,
+    with the powers u^nu of a whole table taken in one array pass."""
     projected: Dict[int, Dict[MultiIndex, float]] = {}
     for j, tab in e.hermite_coeffs.items():
+        nus = np.array(list(tab), dtype=int).reshape(len(tab), u.size)
+        powers = np.prod(u ** nus, axis=1).tolist()
         proj: Dict[MultiIndex, float] = {}
-        for nu, c in tab.items():
+        for (nu, c), w in zip(tab.items(), powers):
             key = (sum(nu),)
-            proj[key] = proj.get(key, 0.0) + c * float(np.prod(u ** nu))
+            proj[key] = proj.get(key, 0.0) + c * w
         projected[j] = proj
-    ints = _hermite_interval(e.max_hermite_degree, -inf, offset / norm)
-    return float(_contract(projected, e.n, [ints]))
+    return projected
 
 
 def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",

@@ -25,9 +25,11 @@ __all__ = ["MultiIndex", "series_mul", "series_compose", "series_log1p",
 def series_mul(a: Series, b: Series, max_order: int) -> Series:
     """The product a b, without the terms past total order max_order."""
     out: Series = {}
+    b_terms = [(nu2, c2, sum(nu2)) for nu2, c2 in b.items()]
     for nu1, c1 in a.items():
-        for nu2, c2 in b.items():
-            if sum(nu1) + sum(nu2) > max_order:
+        room = max_order - sum(nu1)
+        for nu2, c2, order2 in b_terms:
+            if order2 > room:
                 continue
             nu = tuple(x + y for x, y in zip(nu1, nu2))
             out[nu] = out.get(nu, 0) + c1 * c2

@@ -86,10 +86,17 @@ def _per_chunk_loop(values, B, seed, reduce):
 
 
 def _standardize_reference(pts):
-    n = pts.shape[0]
+    """Each coordinate of a resample's mean adds its n values pairwise, as
+    numpy's contiguous mean does; a 1-d mean is the plain row mean."""
+    n, d = pts.shape
     st = sample_stats(pts, 2)
     A = inv_sqrt_spd(st.cov)
-    return lambda res: np.sqrt(n) * (res.mean(axis=1) - st.mean) @ A.T
+
+    def mean(res):
+        if d == 1:
+            return res.mean(axis=1)
+        return np.ascontiguousarray(np.moveaxis(res, -1, 0)).mean(axis=-1).T
+    return lambda res: np.sqrt(n) * (mean(res) - st.mean) @ A.T
 
 
 def _studentize_reference(w):

@@ -340,8 +340,8 @@ def test_ball_measure_matches_one_kernel_call_per_degree():
         e = build_expansion(standardized_cumulants(d, s, rng), 50, s)
         for r in (0.2, 1.0, 1.6, 3.0, 8.0):
             total = 0.0
-            for j, tab in e._monomial_coeffs.items():
-                for mu, c in tab.items():
+            for j, tab in e.hermite_coeffs.items():
+                for mu, c in expansion._basis_change(tab).items():
                     if any(p % 2 for p in mu):
                         continue
                     a = sum(mu) + d
@@ -447,6 +447,62 @@ def test_ball_tables_convert_once_per_expansion(monkeypatch):
     assert len(calls) == len(e.hermite_coeffs)
 
 
+def test_ball_terms_build_once_per_expansion(monkeypatch):
+    """Every centered ball of one expansion reads the same (coefficient,
+    degree) terms: four balls take the Gamma products of one."""
+    c = standardized_cumulants(3, 5, np.random.default_rng(12))
+    radii = (1.0, 1.6, 2.2, 3.0)
+    fresh = [set_measure(build_expansion(c, 50, 5),
+                         SetSpec.ball([0.0] * 3, r)).value for r in radii]
+    calls = []
+    gamma = expansion.gamma
+    monkeypatch.setattr(expansion, "gamma",
+                        lambda x: calls.append(x) or gamma(x))
+    set_measure(build_expansion(c, 50, 5), SetSpec.ball([0.0] * 3, 1.0))
+    one_ball = len(calls)
+    calls.clear()
+    e = build_expansion(c, 50, 5)
+    shared = [set_measure(e, SetSpec.ball([0.0] * 3, r)).value for r in radii]
+    assert shared == fresh
+    assert 0 < len(calls) == one_ball
+
+
+def _projected_reference(e, u):
+    """The projected half-space tables with one np.prod per monomial."""
+    projected = {}
+    for j, tab in e.hermite_coeffs.items():
+        proj = {}
+        for nu, c in tab.items():
+            key = (sum(nu),)
+            proj[key] = proj.get(key, 0.0) + c * float(np.prod(u ** nu))
+        projected[j] = proj
+    return projected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(min_value=3, max_value=6),
+       st.sampled_from([0.0, 0.4]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=-4.0, max_value=4.0))
+def test_halfspace_projection_matches_per_monomial_loop(d, s, scale, seed,
+                                                        offset):
+    """One power table per correction order gives the bits of one np.prod
+    per monomial, for random normals; scale 0 leaves the correction tables
+    empty."""
+    rng = np.random.default_rng(seed)
+    e = build_expansion(standardized_cumulants(d, s, rng, scale), 40, s)
+    normal = rng.standard_normal(d)
+    norm = np.linalg.norm(normal)
+    want = _projected_reference(e, normal / norm)
+    got = expansion._projected_tables(e, normal / norm)
+    assert [list(t.items()) for t in got.values()] == \
+        [list(t.items()) for t in want.values()]
+    ints = expansion._hermite_interval(e.max_hermite_degree, -inf,
+                                       offset / norm)
+    assert set_measure(e, SetSpec.halfspace(normal, offset)).value == \
+        float(expansion._contract(want, e.n, [ints]))
+
+
 def test_halfspace_axis_aligned_matches_box():
     rng = np.random.default_rng(9)
     e = build_expansion(standardized_cumulants(2, 4, rng), 45, 4)
@@ -481,6 +537,52 @@ def test_halfspace_is_cdf_of_projected_cumulants(d, s, n, seed, a, offset):
                       SetSpec.halfspace(a, offset)).value
     assert got == pytest.approx(e1.cdf_1d(offset / np.linalg.norm(a)),
                                 abs=1e-12)
+
+
+def _contains_reference(A, x):
+    """Box and ball membership as one whole-array expression."""
+    if A.kind == "box":
+        return np.all((x >= np.asarray(A.low)) & (x <= np.asarray(A.high)),
+                      axis=1)
+    return np.sum((x - np.asarray(A.center)) ** 2, axis=1) <= A.radius ** 2
+
+
+@st.composite
+def _regions_and_points(draw):
+    """A box, a ball and points in d = 1, 2 or 3 dimensions.  Box bounds
+    may be infinite, some coordinates are moved onto a box face, and the
+    ball's sphere passes through the first point."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    coord = st.floats(min_value=-3.0, max_value=3.0)
+    bound = st.one_of(coord, st.sampled_from([-inf, inf]))
+    low, high = zip(*(sorted(draw(st.lists(bound, min_size=2, max_size=2)))
+                      for _ in range(d)))
+    x = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=1, max_size=12)))
+    for i in range(x.shape[0]):
+        for k in range(d):
+            end = draw(st.sampled_from([None, low[k], high[k]]))
+            if end is not None and np.isfinite(end):
+                x[i, k] = end
+    center = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    radius = sqrt(np.sum((x[0] - center) ** 2))
+    return SetSpec.box(low, high), SetSpec.ball(center, radius), x
+
+
+# The first point lies on the sphere when its squared coordinates add
+# first to last, and outside it in any other order; the second lies on
+# three box faces.
+@settings(max_examples=200, deadline=None)
+@given(_regions_and_points())
+@example((SetSpec.box([-1.0, -inf, 0.5], [1.0, 2.0, inf]),
+          SetSpec.ball([0.0, 0.0, 0.0], 1.7643327350587812),
+          np.array([[-1.109, 1.17, 0.717], [1.0, -5.0, 0.5]])))
+def test_contains_matches_whole_array_membership(case):
+    box, ball, x = case
+    for A in (box, ball):
+        got = A.contains(x)
+        assert got.dtype == bool and got.shape == (x.shape[0],)
+        assert np.array_equal(got, _contains_reference(A, x))
 
 
 @pytest.mark.parametrize("make_set", [

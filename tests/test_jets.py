@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,3 +140,40 @@ def test_g_jet_matches_sympy_derivatives(g_partials, x1, v, w):
     for alpha, expr in partials.items():
         want = float(expr.evalf(30, subs=subs))
         assert jet[alpha] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _series_mul_reference(a, b, max_order):
+    """series_mul with both orders summed inside the inner loop."""
+    out = {}
+    for nu1, c1 in a.items():
+        for nu2, c2 in b.items():
+            if sum(nu1) + sum(nu2) > max_order:
+                continue
+            nu = tuple(x + y for x, y in zip(nu1, nu2))
+            out[nu] = out.get(nu, 0) + c1 * c2
+    return out
+
+
+@st.composite
+def _series_pair(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    coef = draw(st.sampled_from([
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.fractions(min_value=-10, max_value=10, max_denominator=60)]))
+    index = st.tuples(*[st.integers(min_value=0, max_value=4)] * d)
+    a, b = (draw(st.dictionaries(index, coef, max_size=12)) for _ in "ab")
+    return a, b, draw(st.integers(min_value=0, max_value=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_pair())
+def test_series_mul_matches_the_per_pair_order_test(case):
+    """The same terms, in the same order, with the same values and types,
+    for float and exact Fraction coefficients."""
+    a, b, max_order = case
+    got = series_mul(a, b, max_order)
+    want = _series_mul_reference(a, b, max_order)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    if all(isinstance(c, Fraction) for c in [*a.values(), *b.values()]):
+        assert all(isinstance(v, Fraction) for v in got.values())
