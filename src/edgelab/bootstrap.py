@@ -1,4 +1,4 @@
-"""Resampling side: empirical standardization, bootstrap draws, the
+"""Resampling side: the sample summary, bootstrap draws, the
 empirical-cumulant expansion, event checkers, and the studentized-t
 functional with its derivative jet."""
 
@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cumulants import (CumulantSet, MultiIndex, _series_substitute_linear,
-                        as_points, enumerate_multi_indices, inv_sqrt_spd,
+                        _spd_roots, as_points, enumerate_multi_indices,
                         moments_to_cumulants, multi_factorial,
                         raw_moments_from_points)
 from .expansion import (EdgeworthExpansion, SetSpec, _hermite_column,
@@ -24,7 +24,6 @@ __all__ = [
     "SampleStats",
     "EventFlags",
     "sample_stats",
-    "sqrt_spd",
     "bootstrap_draws",
     "empirical_edgeworth",
     "event_checks",
@@ -55,17 +54,21 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleStats:
+    """One sample's summary: its (n, d) points, their mean, the covariance
+    Vhat (denominator n), Vhat's smallest eigenvalue, and Vhat^{1/2} and
+    Vhat^{-1/2}, both from one eigendecomposition of Vhat."""
+    points: np.ndarray
+    n: int
     mean: np.ndarray
     cov: np.ndarray
     lam_min: float
-    lam_max: float
-    abs_moment: float        # (1/n) sum ||X_i||^s
-    max_mixed_moment: float  # max over |v| <= s of (1/n) sum prod |X_ik|^{v_k}
-    n: int
-    s: int
+    root: np.ndarray
+    inv_root: np.ndarray
 
 
-def sample_stats(data, s: int) -> SampleStats:
+def sample_stats(data) -> SampleStats:
+    """The summary of a sample of at least 2 points with a nonsingular
+    covariance; a 1-d array is n points in R^1."""
     pts = as_points(data)
     n = pts.shape[0]
     if n < 2:
@@ -74,26 +77,17 @@ def sample_stats(data, s: int) -> SampleStats:
     centered = pts - mean
     cov = centered.T @ centered / n
     cov = (cov + cov.T) / 2
-    eig = np.linalg.eigvalsh(cov)
-    norms = np.sqrt(np.sum(pts * pts, axis=1))
-    max_mixed = max(raw_moments_from_points(np.abs(pts), s).table.values())
-    return SampleStats(mean=mean, cov=cov,
-                       lam_min=float(eig[0]), lam_max=float(eig[-1]),
-                       abs_moment=float((norms ** s).mean()),
-                       max_mixed_moment=max_mixed, n=n, s=s)
+    lam_min, root, inv_root = _spd_roots(cov)
+    if root is None:
+        raise ValueError("sample covariance is singular; cannot standardize")
+    return SampleStats(points=pts, n=n, mean=mean, cov=cov, lam_min=lam_min,
+                       root=root, inv_root=inv_root)
 
 
-def sqrt_spd(V: np.ndarray) -> np.ndarray:
-    """Symmetric positive-semidefinite square root."""
-    V = np.asarray(V, dtype=float)
-    w, U = np.linalg.eigh((V + V.T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)) @ U.T
-
-
-def bootstrap_draws(data, B: int, seed: int = 0,
+def bootstrap_draws(stats: SampleStats, B: int, seed: int = 0,
                     stream_key: Tuple[int, ...] = ()) -> np.ndarray:
-    """B draws of sqrt(n) Vhat^{-1/2} (bootstrap mean - sample mean).
+    """B draws of sqrt(n) Vhat^{-1/2} (bootstrap mean - sample mean) for
+    the sample summarized by stats.
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
     so the output is bit-identical for any number of worker threads;
@@ -101,23 +95,12 @@ def bootstrap_draws(data, B: int, seed: int = 0,
     coordinate by coordinate, from their transposed (d, n) copy, and each
     coordinate of a resample's mean adds its n values pairwise.
     """
-    pts = as_points(data)
-    n = pts.shape[0]
-    stats, A = _standardizer(pts)
-
     def standardize(means):
-        return sqrt(n) * (means.T - stats.mean) @ A.T
+        return sqrt(stats.n) * (means.T - stats.mean) @ stats.inv_root.T
 
-    return _resample(np.ascontiguousarray(pts.T), B, seed, stream_key,
-                     lambda res: res.mean(axis=-1), finish=standardize)
-
-
-def _standardizer(pts: np.ndarray) -> Tuple[SampleStats, np.ndarray]:
-    """The sample statistics of pts and Vhat^{-1/2}."""
-    stats = sample_stats(pts, 2) if pts.shape[0] >= 2 else None
-    if stats is None or stats.lam_min <= 0:
-        raise ValueError("sample covariance is singular; cannot standardize")
-    return stats, inv_sqrt_spd(stats.cov)
+    return _resample(np.ascontiguousarray(stats.points.T), B, seed,
+                     stream_key, lambda res: res.mean(axis=-1),
+                     finish=standardize)
 
 
 def _available_cpus() -> int:
@@ -168,12 +151,9 @@ def _resample(values: np.ndarray, B: int, seed: int,
     return np.concatenate(map_chunks(chunk, -(-B // _CHUNK)))
 
 
-def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:
+def empirical_edgeworth(stats: SampleStats, s: int) -> EdgeworthExpansion:
     """Expansion built from the standardized empirical cumulants at size n."""
-    pts = as_points(data)
-    n, d = pts.shape
-    stats, A = _standardizer(pts)
-    std_pts = (pts - stats.mean) @ A.T
+    std_pts = (stats.points - stats.mean) @ stats.inv_root.T
     cums = moments_to_cumulants(raw_moments_from_points(std_pts, s))
     table = dict(cums.table)
     # exact standardization up to float rounding; pin the order-1/2 entries
@@ -183,8 +163,8 @@ def empirical_edgeworth(data, s: int) -> EdgeworthExpansion:
             table[nu] = 0.0
         elif o == 2:
             table[nu] = 1.0 if 2 in nu else 0.0
-    cums = CumulantSet(d, s, table, standardized=True)
-    return build_expansion(cums, n, s)
+    cums = CumulantSet(cums.dimension, s, table, standardized=True)
+    return build_expansion(cums, stats.n, s)
 
 
 @dataclass(frozen=True)
@@ -192,38 +172,26 @@ class EventFlags:
     e0: bool
     e1: bool
     e2: bool
-    e3: Optional[bool]
-    stats: SampleStats
-    jet_max: Optional[float] = None
+    abs_moment: float        # (1/n) sum ||X_i||^s
+    max_mixed_moment: float  # max over |v| <= s of (1/n) sum prod |X_ik|^{v_k}
 
 
-def event_checks(data, s: int, rho_bar: float, c1: float, c2: float,
-                 c3: Optional[float] = None,
-                 wbar: Optional[float] = None) -> EventFlags:
-    """Threshold events on the sample: moment cap, eigenvalue floor,
-    mixed-moment cap, and (for the d=2 t-statistic case) the derivative
-    jet cap together with the eigenvalue ceiling."""
+def event_checks(stats: SampleStats, s: int, rho_bar: float, c1: float,
+                 c2: float) -> EventFlags:
+    """Threshold events on the sample summarized by stats: e0 caps the
+    absolute moment of order s by rho_bar, e1 floors Vhat's smallest
+    eigenvalue by c1, and e2 caps the largest mixed absolute moment of
+    order at most s by c2."""
     for name, v in (("rho_bar", rho_bar), ("c1", c1), ("c2", c2)):
         if v <= 0:
             raise ValueError("%s must be > 0" % name)
-    pts = as_points(data)
-    stats = sample_stats(pts, s)
-    e0 = stats.abs_moment <= rho_bar
-    e1 = stats.lam_min >= c1
-    e2 = stats.max_mixed_moment <= c2
-    e3 = None
-    jet_max = None
-    if c3 is not None:
-        if wbar is None:
-            raise ValueError("the jet event needs the reference mean wbar")
-        if pts.shape[1] != 2:
-            raise ValueError("the jet event is defined for d = 2 data")
-        jet = g_value_and_jet(stats.mean, wbar, order=s + 3)
-        jet_max = max(abs(v) for v in jet.values())
-        e3 = (jet_max <= c3) and (stats.lam_max <= c3)
-    return EventFlags(e0=bool(e0), e1=bool(e1), e2=bool(e2),
-                      e3=e3 if e3 is None else bool(e3),
-                      stats=stats, jet_max=jet_max)
+    pts = stats.points
+    abs_moment = float((np.sqrt(np.sum(pts * pts, axis=1)) ** s).mean())
+    max_mixed = max(raw_moments_from_points(np.abs(pts), s).table.values())
+    return EventFlags(e0=bool(abs_moment <= rho_bar),
+                      e1=bool(stats.lam_min >= c1),
+                      e2=bool(max_mixed <= c2), abs_moment=abs_moment,
+                      max_mixed_moment=max_mixed)
 
 
 def g_value_and_jet(xbar, wbar: float,
@@ -279,7 +247,7 @@ def tstat_pushforward(x: np.ndarray, stats: SampleStats, wbar: float,
     second coordinate fails x2 > x1^2, reported so callers can count them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    shifted = stats.mean + x @ sqrt_spd(stats.cov).T / sqrt(n)
+    shifted = stats.mean + x @ stats.root.T / sqrt(n)
     var = shifted[:, 1] - shifted[:, 0] ** 2
     valid = var > 0
     vals = np.zeros(x.shape[0])
@@ -337,10 +305,9 @@ def edgeworth_tstat_exact(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     is undefined.  The same regions as edgeworth_tstat_curve, without
     Monte Carlo error; nothing is random.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    values, singular = _tstat_quadrature(t_grid, e, stats, wbar, n,
-                                         _GL_NODES)
-    coarse, _ = _tstat_quadrature(t_grid, e, stats, wbar, n, _GL_NODES // 2)
+    (values, coarse), singular = _tstat_quadrature(
+        np.asarray(t_grid, dtype=float), e, stats, wbar, n,
+        (_GL_NODES, _GL_NODES // 2))
     return values, np.abs(values - coarse), singular
 
 
@@ -353,9 +320,11 @@ def _quadratic_roots(c2, c1, c0) -> Tuple[np.ndarray, np.ndarray]:
 
 def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
                       stats: SampleStats, wbar: float, n: int,
-                      nodes: int) -> Tuple[np.ndarray, float]:
-    """The measures of {u <= t} on the grid and of the singular set, with
-    a `nodes`-point Gauss-Legendre rule per piece of the p-integral.
+                      rules: Sequence[int]
+                      ) -> Tuple[List[np.ndarray], float]:
+    """The measures of {u <= t} on the grid, one array per Gauss-Legendre
+    rule in rules (its node count per piece of the p-integral), and the
+    measure of the singular set by the first rule.
 
     Write z = p e_p + q e_q, with e_p along the first row s1 of
     S = Vhat^{1/2} and beta = s2.e_q > 0.  The statistic's mean shift is
@@ -367,9 +336,10 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
     rotated tables give the q-integral exactly (_hermite_interval).  The
     p-integral over [-12, 12] is split where a = 0, whose side changes
     the interval, and where q0 or qa crosses +-12: there an end sweeps
-    across the Gaussian bulk within a p-width of about |t|.
+    across the Gaussian bulk within a p-width of about |t|.  The rotation,
+    the rotated table and the breakpoints are shared by the rules.
     """
-    S = sqrt_spd(stats.cov)
+    S = stats.root
     r1 = float(np.hypot(*S[0]))
     e_p = S[0] / r1
     e_q = np.array([-e_p[1], e_p[0]])
@@ -388,30 +358,36 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
     A0 = -(mu2 - mu1 * mu1) * rn / beta
     A1 = -(float(S[1] @ e_p) - 2.0 * mu1 * r1) / beta
     A2 = r1 * r1 / (rn * beta)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    gl = [np.polynomial.legendre.leggauss(nodes) for nodes in rules]
     q0_edges = [r for c0 in (A0 - _EDGE, A0 + _EDGE)
                 for r in _quadratic_roots(A2, A1, c0)]
 
-    def integral(edges, interval):
-        """For each row of breakpoints, the p-integral over the pieces
-        between them of He(p) phi(p) C He(q) phi(q) over the q-interval
-        interval(row, p, q0); empty intervals are skipped."""
+    def integrals(edges, interval, gl):
+        """For each rule (x, w) in gl and each row of breakpoints, the
+        p-integral over the pieces between them of He(p) phi(p) C He(q)
+        phi(q) over the q-interval interval(row, p, q0); empty intervals
+        are skipped."""
         edges = np.sort(np.clip(np.nan_to_num(edges, nan=-_EDGE),
                                 -_EDGE, _EDGE), axis=1)
-        row, piece = np.nonzero(np.diff(edges, axis=1) > 0)
-        lo, hi = edges[row, piece], edges[row, piece + 1]
+        rows, piece = np.nonzero(np.diff(edges, axis=1) > 0)
+        lo, hi = edges[rows, piece], edges[rows, piece + 1]
         half = (hi - lo)[:, None] / 2.0
-        p = ((lo + hi)[:, None] / 2.0 + half * x).ravel()
-        wt = (half * w).ravel()
-        row = np.repeat(row, nodes)
-        q_lo, q_hi = interval(row, p, A0 + (A1 + A2 * p) * p)
-        live = q_hi > q_lo
-        row, p, wt, q_lo, q_hi = (v[live] for v in (row, p, wt, q_lo, q_hi))
-        outer = _hermite_column(K, p) * (np.exp(-0.5 * p * p) * wt
-                                         / sqrt(2 * pi))
-        vals = np.einsum("kp,kl,lp->p", outer, C,
-                         _hermite_interval(K, q_lo, q_hi))
-        return np.bincount(row, vals, minlength=edges.shape[0])
+        mid = (lo + hi)[:, None] / 2.0
+        out = []
+        for x, w in gl:
+            p = (mid + half * x).ravel()
+            wt = (half * w).ravel()
+            row = np.repeat(rows, x.size)
+            q_lo, q_hi = interval(row, p, A0 + (A1 + A2 * p) * p)
+            live = q_hi > q_lo
+            row, p, wt, q_lo, q_hi = (v[live]
+                                      for v in (row, p, wt, q_lo, q_hi))
+            outer = _hermite_column(K, p) * (np.exp(-0.5 * p * p) * wt
+                                             / sqrt(2 * pi))
+            vals = np.einsum("kp,kl,lp->p", outer, C,
+                             _hermite_interval(K, q_lo, q_hi))
+            out.append(np.bincount(row, vals, minlength=edges.shape[0]))
+        return out
 
     def block(t):
         # qa's quadratic coefficients; k is inf at t = 0, where the roots
@@ -436,13 +412,14 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
                           np.where((tt > 0) | (a <= 0), np.inf, q0))
             return lo, hi
 
-        return integral(edges, interval)
+        return integrals(edges, interval, gl)
 
-    values = np.concatenate([block(t_grid[lo:lo + _T_BLOCK])
-                             for lo in range(0, t_grid.size, _T_BLOCK)])
-    singular = integral(
+    blocks = [block(t_grid[lo:lo + _T_BLOCK])
+              for lo in range(0, t_grid.size, _T_BLOCK)]
+    values = [np.concatenate(rule) for rule in zip(*blocks)]
+    singular, = integrals(
         np.array([[-_EDGE, _EDGE] + q0_edges]),
-        lambda row, p, q0: (np.full_like(q0, -np.inf), q0))
+        lambda row, p, q0: (np.full_like(q0, -np.inf), q0), gl[:1])
     return values, float(singular[0])
 
 

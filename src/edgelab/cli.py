@@ -232,8 +232,9 @@ def cmd_bootstrap_compare(args) -> int:
     elif d != 1:
         raise ValueError("the data have %d columns; bootstrap-compare "
                          "needs --sets for data with more than 1 column" % d)
-    draws = bl.bootstrap_draws(pts, args.B, seed=args.seed)
-    e = bl.empirical_edgeworth(pts, args.s)
+    stats = bl.sample_stats(pts)
+    draws = bl.bootstrap_draws(stats, args.B, seed=args.seed)
+    e = bl.empirical_edgeworth(stats, args.s)
     if args.sets:
         labels = [json.dumps(o) for o in specs]
         q_emp = [A.contains(draws).mean() for A in sets]
@@ -247,10 +248,10 @@ def cmd_bootstrap_compare(args) -> int:
     csv_path = os.path.join(out_dir, "bootstrap_compare.csv")
     sup = _write_comparison(csv_path, "set_id", labels, q_emp, q_tilde,
                             itertools.repeat(dkw_halfwidth(args.B)))
-    flags = bl.event_checks(pts, args.s, rho_bar=args.rho_bar, c1=1e-6,
+    flags = bl.event_checks(stats, args.s, rho_bar=args.rho_bar, c1=1e-6,
                             c2=args.rho_bar)
     summary = {
-        "n": int(pts.shape[0]), "B": args.B, "s": args.s,
+        "n": stats.n, "B": args.B, "s": args.s,
         "sup_deviation": sup,
         "events": {"e0": flags.e0, "e1": flags.e1, "e2": flags.e2},
         "csv": csv_path,
@@ -266,9 +267,8 @@ def cmd_tstat_study(args) -> int:
     tgrid = _parse_grid(args.tgrid)
     tstats, degenerate = bl.tstat_bootstrap(w, args.B, seed=args.seed)
     q_emp = ecdf_on_grid(tstats, tgrid)
-    x = np.stack([w, w ** 2], axis=1)
-    stats = bl.sample_stats(x, args.s)
-    e = bl.empirical_edgeworth(x, args.s)
+    stats = bl.sample_stats(np.stack([w, w ** 2], axis=1))
+    e = bl.empirical_edgeworth(stats, args.s)
     q_tilde, errs, singular = bl.edgeworth_tstat_exact(
         tgrid, e, stats, float(w.mean()), args.n)
     out_dir = _out_dir(args.out)
@@ -326,8 +326,8 @@ def cmd_uniform_sweep(args) -> int:
 
 def cmd_expand(args) -> int:
     if args.data:
-        pts = _load_points(args.data)
-        e = bl.empirical_edgeworth(pts, args.s)
+        stats = bl.sample_stats(_load_points(args.data))
+        e = bl.empirical_edgeworth(stats, args.s)
     else:
         fam = make_family(args.family)
         cums = fam.standardized_cumulants(args.s)

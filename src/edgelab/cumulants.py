@@ -192,11 +192,22 @@ def inv_sqrt_spd(V: np.ndarray) -> np.ndarray:
         raise ValueError("V must be a square matrix")
     if not np.allclose(V, V.T, atol=1e-10):
         raise ValueError("V must be symmetric")
-    w, U = np.linalg.eigh(V)
-    if w.min() <= 0:
+    lam_min, _, inv_root = _spd_roots(V)
+    if inv_root is None:
         raise ValueError("V must be positive definite (min eigenvalue %g)"
-                         % w.min())
-    return (U / np.sqrt(w)) @ U.T
+                         % lam_min)
+    return inv_root
+
+
+def _spd_roots(V: np.ndarray):
+    """(smallest eigenvalue, V^{1/2}, V^{-1/2}) of a symmetric V from one
+    eigendecomposition; both roots are None unless V is positive
+    definite."""
+    w, U = np.linalg.eigh(V)
+    if w[0] <= 0:
+        return float(w[0]), None, None
+    r = np.sqrt(w)
+    return float(w[0]), (U * r) @ U.T, (U / r) @ U.T
 
 
 def _series_substitute_linear(a: Dict[MultiIndex, object], B: np.ndarray,

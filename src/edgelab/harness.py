@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import bootstrap_draws, child_rng, empirical_edgeworth
+from .bootstrap import (bootstrap_draws, child_rng, empirical_edgeworth,
+                        sample_stats)
 from .expansion import build_expansion
 from .families import Family
 
@@ -140,26 +141,29 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
     empirical CDF of M sums, drawn from the sum's exact law by
     exact_sum_cdf_mc on the stream (seed, family key, 0, n, rep), against
     the analytic-cumulant expansion; in bootstrap mode bootstrap draws
-    against the empirical-cumulant expansion."""
+    against the empirical-cumulant expansion.  One cumulant table, of
+    order max(s_values), serves every s."""
     fam_key = _family_key(family.name)
+    order = max(s_values)
     if mode == "analytic":
         cdf, band = exact_sum_cdf_mc(family, n, M, t_grid, seed,
                                      (fam_key, 0, n, rep))
-        cumulants = family.standardized_cumulants
+        cumulants = family.standardized_cumulants(order)
         metric = "sup_dev"
     else:
-        data = family.sample(child_rng(seed, fam_key, 1, n, rep), n)[:, None]
+        stats = sample_stats(family.sample(
+            child_rng(seed, fam_key, 1, n, rep), n))
         draw_seed = int(child_rng(seed, fam_key, 2, n, rep)
                         .integers(0, 2 ** 63))
-        cdf = ecdf_on_grid(bootstrap_draws(data, B, seed=draw_seed)[:, 0],
+        cdf = ecdf_on_grid(bootstrap_draws(stats, B, seed=draw_seed)[:, 0],
                            t_grid)
         band = dkw_halfwidth(B)
-        cumulants = lambda s: empirical_edgeworth(data, s).cumulants
+        cumulants = empirical_edgeworth(stats, order).cumulants
         metric = "bootstrap_sup_dev"
     theta = json.dumps(family.theta, sort_keys=True)
     recs = []
     for s in s_values:
-        e = build_expansion(cumulants(max(s, 2)), n, s)
+        e = build_expansion(cumulants, n, s)
         value = float(np.max(np.abs(cdf - e.cdf_1d(t_grid))))
         flag = "inconclusive" if band >= value else ""
         recs.append(StudyRecord(family.name, theta, n, rep, s, metric,

@@ -230,13 +230,13 @@ def test_criterion_09_bootstrap_expansion():
     wins = 0
     for seed in range(20):
         rng = child_rng(seed, 404)
-        data = fam.sample(rng, 400)[:, None]
-        draws = np.sort(bootstrap_draws(data, B, seed=seed,
+        stats = sample_stats(fam.sample(rng, 400))
+        draws = np.sort(bootstrap_draws(stats, B, seed=seed,
                                         stream_key=(404,))[:, 0])
         cdf = np.searchsorted(draws, grid, side="right") / B
         devs = {}
         for s in (2, 3):
-            e = empirical_edgeworth(data, max(s, 2))
+            e = empirical_edgeworth(stats, max(s, 2))
             e = build_expansion(e.cumulants, 400, s)
             approx = np.array([e.cdf_1d(t) for t in grid])
             devs[s] = float(np.max(np.abs(cdf - approx)))
@@ -257,8 +257,8 @@ def test_criterion_10_tstat_consistency():
         draws.sort()
         cdf = np.searchsorted(draws, grid, side="right") / draws.size
         x = np.stack([w, w * w], axis=1)
-        stats = sample_stats(x, 2)
-        e = empirical_edgeworth(x, 3)
+        stats = sample_stats(x)
+        e = empirical_edgeworth(stats, 3)
         vals, ses, _ = edgeworth_tstat_curve(grid, e, stats, float(w.mean()),
                                              n, budget, 0, (506, n))
         dev = float(np.max(np.abs(cdf - vals)))
@@ -278,8 +278,9 @@ def test_criterion_11_eta_enlargement():
     rows, devs, ses = [], [], []
     A = SetSpec.halfline(0.0)
     for n in (100, 400):
-        data = fam.sample(child_rng(0, 606, n), n)[:, None]
-        draws = bootstrap_draws(data, B, seed=n, stream_key=(606,))
+        data = fam.sample(child_rng(0, 606, n), n)
+        draws = bootstrap_draws(sample_stats(data), B, seed=n,
+                                stream_key=(606,))
         for eta in etas:
             dev = enlargement_deviation(A, eta, draws)
             rows.append([n ** -0.5, eta])

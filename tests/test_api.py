@@ -22,10 +22,11 @@ KEPT = {
     "enlargement_deviation": "oracle: criterion 11's eta enlargement",
     "edgeworth_tstat_curve": "oracle: criterion 10 and the quadrature's MC "
                              "cross-check",
-    "mean_weak_cramer_scan": "ROADMAP item 5: averaged scan for "
+    "mean_weak_cramer_scan": "ROADMAP item 7: averaged scan for "
                              "non-identical units",
-    "averaged_standardized_cumulants": "ROADMAP item 5: cumulants for "
+    "averaged_standardized_cumulants": "ROADMAP item 7: cumulants for "
                                        "non-identical units",
+    "g_value_and_jet": "criterion 12's subject",
 }
 
 

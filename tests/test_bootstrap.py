@@ -8,8 +8,7 @@ from edgelab.bootstrap import (_BLOCK, bootstrap_draws, child_rng,
                                edgeworth_tstat_curve, edgeworth_tstat_exact,
                                empirical_edgeworth,
                                enlargement_deviation, event_checks,
-                               g_value_and_jet, sample_stats, sqrt_spd,
-                               sup_deviation, tstat_bootstrap,
+                               sample_stats, sup_deviation, tstat_bootstrap,
                                tstat_pushforward)
 from edgelab.cumulants import inv_sqrt_spd
 from edgelab.expansion import SetSpec, set_measure
@@ -24,45 +23,55 @@ def skewed_sample(n, seed=0, d=1):
 
 def test_sample_stats_against_numpy():
     pts = skewed_sample(200, seed=1, d=2)
-    st = sample_stats(pts, 3)
+    st = sample_stats(pts)
     assert np.allclose(st.mean, pts.mean(axis=0))
     assert np.allclose(st.cov, np.cov(pts.T, bias=True))
-    assert st.lam_min <= st.lam_max
+    assert st.lam_min == pytest.approx(np.linalg.eigvalsh(st.cov)[0])
+    flags = event_checks(st, 3, rho_bar=1e6, c1=1e-8, c2=1e6)
     norms = np.linalg.norm(pts, axis=1)
-    assert st.abs_moment == pytest.approx(np.mean(norms ** 3))
-    assert st.max_mixed_moment >= st.abs_moment / 2  # crude dominance sanity
+    assert flags.abs_moment == pytest.approx(np.mean(norms ** 3))
+    assert flags.max_mixed_moment >= flags.abs_moment / 2  # crude dominance
 
 
-def test_sqrt_spd_squares_back():
+def test_sample_stats_roots_square_back():
     rng = np.random.default_rng(2)
-    A = rng.normal(size=(3, 3))
-    V = A @ A.T
-    S = sqrt_spd(V)
-    assert np.allclose(S @ S, V, atol=1e-10)
+    st = sample_stats(rng.normal(size=(50, 3)) @ rng.normal(size=(3, 3)))
+    assert np.allclose(st.root @ st.root, st.cov, atol=1e-10)
+    assert np.allclose(st.inv_root @ st.cov @ st.inv_root, np.eye(3),
+                       atol=1e-10)
+    # the same eigendecomposition as inv_sqrt_spd, bit for bit
+    assert np.array_equal(st.inv_root, inv_sqrt_spd(st.cov))
+
+
+def test_sample_stats_refuses_too_few_points_or_a_singular_covariance():
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        sample_stats(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="sample covariance is singular"):
+        sample_stats(np.ones((30, 1)))
 
 
 # -- bootstrap draws --------------------------------------------------------
 
 def test_bootstrap_draws_deterministic():
     data = skewed_sample(60, seed=3)
-    a = bootstrap_draws(data, 5000, seed=42)
-    b = bootstrap_draws(data, 5000, seed=42)
+    a = bootstrap_draws(sample_stats(data), 5000, seed=42)
+    b = bootstrap_draws(sample_stats(data), 5000, seed=42)
     assert np.array_equal(a, b)
-    c = bootstrap_draws(data, 5000, seed=43)
+    c = bootstrap_draws(sample_stats(data), 5000, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_bootstrap_draws_prefix_stable():
     """The first B draws do not depend on the total budget."""
     data = skewed_sample(60, seed=4)
-    short = bootstrap_draws(data, 20000, seed=7)
-    long = bootstrap_draws(data, 40000, seed=7)
+    short = bootstrap_draws(sample_stats(data), 20000, seed=7)
+    long = bootstrap_draws(sample_stats(data), 40000, seed=7)
     assert np.array_equal(short, long[:20000])
 
 
 def test_bootstrap_draws_standardized():
     data = skewed_sample(150, seed=5, d=2)
-    draws = bootstrap_draws(data, 200_000, seed=8)
+    draws = bootstrap_draws(sample_stats(data), 200_000, seed=8)
     mean = draws.mean(axis=0)
     cov = np.cov(draws.T, bias=True)
     assert np.all(np.abs(mean) < 0.01)
@@ -89,7 +98,7 @@ def _standardize_reference(pts):
     """Each coordinate of a resample's mean adds its n values pairwise, as
     numpy's contiguous mean does; a 1-d mean is the plain row mean."""
     n, d = pts.shape
-    st = sample_stats(pts, 2)
+    st = sample_stats(pts)
     A = inv_sqrt_spd(st.cov)
 
     def mean(res):
@@ -116,7 +125,7 @@ def test_bootstrap_draws_match_per_chunk_reference(d, monkeypatch):
     ref = _per_chunk_loop(pts, _GUARD_B, 9, _standardize_reference(pts))
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
-        got = bootstrap_draws(pts, _GUARD_B, seed=9)
+        got = bootstrap_draws(sample_stats(pts), _GUARD_B, seed=9)
         assert got.shape == (_GUARD_B, d)
         assert np.array_equal(got, ref)
 
@@ -144,32 +153,34 @@ def test_resampling_in_row_blocks_matches_per_chunk_reference(
     ref_t = _per_chunk_loop(w, B, 12, _studentize_reference(w))
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
-        assert np.array_equal(bootstrap_draws(pts, B, seed=11), ref)
+        assert np.array_equal(bootstrap_draws(sample_stats(pts), B,
+                                              seed=11), ref)
         got, _ = tstat_bootstrap(w, B, seed=12)
         assert np.array_equal(got, ref_t)
 
 
 def test_resampling_default_workers_and_validation(monkeypatch):
     pts = skewed_sample(30, seed=24)
-    default = bootstrap_draws(pts, _GUARD_B, seed=13)
+    st = sample_stats(pts)
+    default = bootstrap_draws(st, _GUARD_B, seed=13)
     monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 1)
-    assert np.array_equal(default, bootstrap_draws(pts, _GUARD_B, seed=13))
+    assert np.array_equal(default, bootstrap_draws(st, _GUARD_B, seed=13))
     with pytest.raises(ValueError, match="B must be"):
-        bootstrap_draws(pts, 0)
+        bootstrap_draws(st, 0)
     with pytest.raises(ValueError, match="B must be"):
         tstat_bootstrap(pts[:, 0], 0)
 
 
 def test_bootstrap_draws_rejects_degenerate_data():
     with pytest.raises(ValueError):
-        bootstrap_draws(np.ones((30, 1)), 100)
+        bootstrap_draws(sample_stats(np.ones((30, 1))), 100)
 
 
 # -- empirical expansion ----------------------------------------------------
 
 def test_empirical_edgeworth_pins_low_orders():
     data = skewed_sample(100, seed=6, d=2)
-    e = empirical_edgeworth(data, 4)
+    e = empirical_edgeworth(sample_stats(data), 4)
     c = e.cumulants
     assert c.standardized
     assert c[(1, 0)] == 0.0 and c[(0, 1)] == 0.0
@@ -178,7 +189,7 @@ def test_empirical_edgeworth_pins_low_orders():
 
 def test_empirical_edgeworth_matches_sample_skewness():
     data = skewed_sample(5000, seed=7)
-    e = empirical_edgeworth(data, 3)
+    e = empirical_edgeworth(sample_stats(data), 3)
     z = (data[:, 0] - data.mean()) / data.std()
     skew = np.mean(z ** 3)
     assert e.cumulants[(3,)] == pytest.approx(skew, rel=1e-10)
@@ -188,30 +199,18 @@ def test_empirical_edgeworth_matches_sample_skewness():
 
 def test_event_checks_thresholds():
     data = skewed_sample(300, seed=8, d=2)
-    flags = event_checks(data, s=3, rho_bar=1e6, c1=1e-8, c2=1e6)
+    st = sample_stats(data)
+    flags = event_checks(st, s=3, rho_bar=1e6, c1=1e-8, c2=1e6)
     assert flags.e0 and flags.e1 and flags.e2
-    assert flags.e3 is None
-    tight = event_checks(data, s=3, rho_bar=1e-12, c1=1e-8, c2=1e6)
+    tight = event_checks(st, s=3, rho_bar=1e-12, c1=1e-8, c2=1e6)
     assert not tight.e0 and tight.e1 and tight.e2
-
-
-def test_event_checks_jet_event():
-    rng = np.random.default_rng(9)
-    w = rng.exponential(size=400) - 1.0
-    data = np.stack([w, w * w], axis=1)
-    flags = event_checks(data, s=3, rho_bar=1e6, c1=1e-8, c2=1e6,
-                         c3=1e6, wbar=0.0)
-    assert flags.e3 is True
-    assert flags.jet_max is not None and flags.jet_max > 0
-    with pytest.raises(ValueError):
-        event_checks(data, s=3, rho_bar=1e6, c1=1e-8, c2=1e6, c3=1.0)
 
 
 def test_event_checks_reproducible():
     data = skewed_sample(100, seed=10, d=2)
-    f1 = event_checks(data, 3, 10.0, 0.01, 50.0)
-    f2 = event_checks(data, 3, 10.0, 0.01, 50.0)
-    assert f1.e0 == f2.e0 and f1.stats.abs_moment == f2.stats.abs_moment
+    f1 = event_checks(sample_stats(data), 3, 10.0, 0.01, 50.0)
+    f2 = event_checks(sample_stats(data), 3, 10.0, 0.01, 50.0)
+    assert f1.e0 == f2.e0 and f1.abs_moment == f2.abs_moment
 
 
 # -- studentized statistic --------------------------------------------------
@@ -234,7 +233,7 @@ def test_tstat_bootstrap_needs_spread():
 def test_tstat_pushforward_validity():
     w = skewed_sample(200, seed=12)[:, 0]
     data = np.stack([w, w * w], axis=1)
-    st = sample_stats(data, 2)
+    st = sample_stats(data)
     x = np.array([[0.0, 0.0], [0.0, -200.0]])
     vals, valid = tstat_pushforward(x, st, w.mean(), 200)
     assert valid[0] and not valid[1]
@@ -247,7 +246,7 @@ def test_fhat_indicator_monotone_in_t():
     # the indicator 1{pushforward(x) <= t}, with invalid points counting 0
     w = skewed_sample(150, seed=13)[:, 0]
     data = np.stack([w, w * w], axis=1)
-    st = sample_stats(data, 2)
+    st = sample_stats(data)
     x = np.array([[0.3, 0.1], [0.0, -50.0]])
     u, valid = tstat_pushforward(x, st, w.mean(), 150)
     vals = [int(valid[0] and u[0] <= t) for t in (-3.0, 0.0, 3.0)]
@@ -259,8 +258,8 @@ def test_fhat_indicator_monotone_in_t():
 def test_tstat_curve_consistent_with_pointwise():
     w = skewed_sample(300, seed=14)[:, 0]
     data = np.stack([w, w * w], axis=1)
-    st = sample_stats(data, 2)
-    e = empirical_edgeworth(data, 3)
+    st = sample_stats(data)
+    e = empirical_edgeworth(st, 3)
     rng_state = 2718
     grid = np.array([-1.0, 0.0, 1.5])
     vals, ses, sing = edgeworth_tstat_curve(grid, e, st, w.mean(), 300,
@@ -276,8 +275,8 @@ def test_tstat_curve_tracks_gaussian_for_gaussian_data():
     rng = np.random.default_rng(15)
     w = rng.standard_normal(400)
     data = np.stack([w, w * w], axis=1)
-    st = sample_stats(data, 2)
-    e = empirical_edgeworth(data, 3)
+    st = sample_stats(data)
+    e = empirical_edgeworth(st, 3)
     from scipy.stats import norm
     grid = np.linspace(-2, 2, 9)
     vals, ses, _ = edgeworth_tstat_curve(grid, e, st, w.mean(), 400,
@@ -288,8 +287,8 @@ def test_tstat_curve_tracks_gaussian_for_gaussian_data():
 def _tstat_curve_setup(n, seed, s=3):
     w = skewed_sample(n, seed=seed)[:, 0]
     data = np.stack([w, w * w], axis=1)
-    return (sample_stats(data, 2), empirical_edgeworth(data, s),
-            float(w.mean()))
+    st = sample_stats(data)
+    return st, empirical_edgeworth(st, s), float(w.mean())
 
 
 def _whole_array_tstat_curve(t_grid, e, st, wbar, n, z):
@@ -373,8 +372,8 @@ _TGRID = np.arange(-4.0, 4.025, 0.05)
 def test_tstat_exact_agrees_with_a_doubled_rule(n, seed, s):
     st, e, wbar = _tstat_curve_setup(n, seed, s)
     vals, _, sing = edgeworth_tstat_exact(_TGRID, e, st, wbar, n)
-    fine, fine_sing = bootstrap._tstat_quadrature(_TGRID, e, st, wbar, n,
-                                                  2 * bootstrap._GL_NODES)
+    (fine,), fine_sing = bootstrap._tstat_quadrature(
+        _TGRID, e, st, wbar, n, (2 * bootstrap._GL_NODES,))
     assert np.max(np.abs(vals - fine)) < 1e-12
     assert abs(sing - fine_sing) < 1e-12
 
@@ -407,7 +406,7 @@ def test_tstat_exact_at_zero_is_a_half_space():
     st, e, wbar = _tstat_curve_setup(n, seed=45)
     vals, _, sing = edgeworth_tstat_exact([0.0], e, st, wbar, n)
     assert abs(sing) < 1e-12
-    s1 = sqrt_spd(st.cov)[0]
+    s1 = st.root[0]
     half = set_measure(e, SetSpec.halfspace(
         s1, -np.sqrt(n) * (st.mean[0] - wbar))).value
     assert vals[0] == pytest.approx(half, abs=1e-12)

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgelab import bootstrap
+from edgelab import bootstrap, cli, cumulants, harness
 from edgelab.cli import _load_points, main
+from edgelab.families import make_family
 
 
 def write_points(path, pts):
@@ -551,3 +552,49 @@ def test_non_finite_data_is_rejected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: all coordinates must be finite" in captured.err
+
+
+# -- one summary per data set -------------------------------------------------
+
+def _count_calls(monkeypatch, counts):
+    """Count calls to sample_stats and raw_moments_from_points wherever an
+    edgelab module looks them up."""
+    for name in counts:
+        orig = getattr(bootstrap, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        for module in (bootstrap, cumulants, harness, cli):
+            if module.__dict__.get(name) is orig:
+                monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("case, want", [
+    ("bootstrap-compare", (1, 2)), ("tstat-study", (1, 1)), ("cell", (1, 1))])
+def test_each_data_set_is_summarized_once(tmp_path, capsys, monkeypatch,
+                                          case, want):
+    """One SampleStats per data set: bootstrap-compare --sets on d = 3 data
+    reads one moment table for its expansion and one for its events; a
+    t-statistic study and a bootstrap-mode rate-study cell read one."""
+    counts = {"sample_stats": 0, "raw_moments_from_points": 0}
+    _count_calls(monkeypatch, counts)
+    out = str(tmp_path / "o")
+    if case == "bootstrap-compare":
+        data = write_points(tmp_path / "pts.csv",
+                            np.random.default_rng(5).exponential(
+                                size=(60, 3)))
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps([{"kind": "halfspace",
+                                     "normal": [1.0, 0.0, 0.5],
+                                     "offset": 0.2}]))
+        assert main(["bootstrap-compare", "--data", data, "--sets",
+                     str(sets), "--B", "1000", "--s", "4",
+                     "--out", out]) == 0
+    elif case == "tstat-study":
+        assert main(["tstat-study", "--n", "60", "--B", "1000",
+                     "--tgrid=-1:1:0.5", "--out", out]) == 0
+    else:
+        harness._cell(make_family("centered-exponential"), 40, 0, [2, 3],
+                      "bootstrap", None, 1000, harness.default_t_grid(), 3)
+    assert (counts["sample_stats"], counts["raw_moments_from_points"]) == want

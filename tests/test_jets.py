@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgelab.bootstrap import event_checks, g_value_and_jet
+from edgelab.bootstrap import g_value_and_jet
 from edgelab.cumulants import enumerate_multi_indices, multi_factorial
 from edgelab.jets import series_mul, series_pow
 
@@ -95,14 +95,6 @@ def test_derivative_jet_table_and_max():
     assert table[(1,)] == pytest.approx(2.0)
     assert table[(2,)] == pytest.approx(3.0)
     assert max(abs(v) for v in table.values()) == pytest.approx(3.0)
-    # the table of g holds every |alpha| <= order, and the jet event
-    # compares its largest absolute entry with c3
-    pts = np.random.default_rng(4).normal(size=(50, 2)) + [0.0, 2.0]
-    flags = event_checks(pts, 3, rho_bar=1e6, c1=1e-9, c2=1e6, c3=1e9,
-                         wbar=0.1)
-    jet = g_value_and_jet(flags.stats.mean, 0.1, order=6)
-    assert set(jet) == set(enumerate_multi_indices(2, 6))
-    assert flags.jet_max == max(abs(v) for v in jet.values())
 
 
 def test_jet_against_finite_differences():
