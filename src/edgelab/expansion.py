@@ -390,11 +390,11 @@ def _lower_gamma_regularized(a, x) -> np.ndarray:
     x^a and e^-x / Gamma(a) are both normal floats their direct product
     is used: it is correctly rounded, while exp of a large log loses about
     eps * |a ln x| (1e-13 relative at x = 1e-35, a = 7).  Below x = a + 1
-    the series sum_k x^k / (a)_{k+1} has positive terms and is summed 16
-    terms at a time; above it Q = 1 - P
-    is the continued fraction of Numerical Recipes (2007) section 6.2,
-    evaluated by the modified Lentz method, and Q < 1/2 there, so 1 - Q
-    does not cancel.
+    the series sum_k x^k / (a)_{k+1} has positive terms (_gamma_series);
+    above it Q = 1 - P is a continued fraction (_gamma_fraction), and
+    Q < 1/2 there, so 1 - Q does not cancel.  Each element stops at its
+    own convergence and then leaves the live arrays, so P(a, x) at a point
+    is the same float alone as in any batch.
     """
     a = np.asarray(a, dtype=float)
     lga = np.fromiter(map(lgamma, a.flat), float, a.size).reshape(a.shape)
@@ -407,34 +407,61 @@ def _lower_gamma_regularized(a, x) -> np.ndarray:
     direct = (np.abs(ax) < 700.0) & (xl + lg < 700.0)
     pre[direct] = xl[direct] ** al[direct] * np.exp(-xl[direct] - lg[direct])
     series = xl < al + 1.0
-    xs, as_ = xl[series, None], al[series]
-    term = total = 1.0 / as_
-    k = as_[:, None] + np.arange(1.0, 17.0)
-    while np.any(term > 1e-17 * total):
-        block = term[:, None] * np.cumprod(xs / k, axis=1)
+    pre[series] *= _gamma_series(al[series], xl[series])
+    fraction = ~series
+    pre[fraction] = 1.0 - pre[fraction] * _gamma_fraction(al[fraction],
+                                                          xl[fraction])
+    out[live] = pre
+    return out
+
+
+def _gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k x^k / (a)_{k+1} over 1-d arrays, 16 terms at a time; an
+    element stops after the first block whose last term is at most 1e-17
+    of its sum."""
+    out = np.empty(a.shape)
+    rows = np.arange(a.size)
+    term = total = 1.0 / a
+    k = a[:, None] + np.arange(1.0, 17.0)
+    x = x[:, None]
+    while rows.size:
+        block = term[:, None] * np.cumprod(x / k, axis=1)
         total = total + block.sum(axis=1)
         term = block[:, -1]
         k += 16.0
-    xc, ac = xl[~series], al[~series]
+        done = ~(term > 1e-17 * total)
+        if done.any():
+            out[rows[done]] = total[done]
+            rows, term, total, k, x = (v[~done] for v in
+                                       (rows, term, total, k, x))
+    return out
+
+
+def _gamma_fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) x^-a e^x Gamma(a) over 1-d arrays: the continued fraction
+    of Numerical Recipes (2007) section 6.2, evaluated by the modified
+    Lentz method; an element stops at the first step whose factor d c is
+    within 1e-15 of 1."""
     tiny = 1e-300
-    b = xc + 1.0 - ac
-    c = np.full(xc.shape, 1.0 / tiny)
+    out = np.empty(a.shape)
+    rows = np.arange(a.size)
+    b = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / tiny)
     d = h = 1.0 / b
     i = 0
-    while xc.size:
+    while rows.size:
         i += 1
-        an = -i * (i - ac)
+        an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
         d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
         c = np.where(np.abs(c) < tiny, tiny, c)
         h = h * d * c
-        if np.all(np.abs(d * c - 1.0) <= 1e-15):
-            break
-    pre[series] *= total
-    pre[~series] = 1.0 - pre[~series] * h
-    out[live] = pre
+        done = np.abs(d * c - 1.0) <= 1e-15
+        if done.any():
+            out[rows[done]] = h[done]
+            rows, a, b, c, d, h = (v[~done] for v in (rows, a, b, c, d, h))
     return out
 
 

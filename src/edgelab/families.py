@@ -54,11 +54,19 @@ class Family:
                 table[(r,)] = self.cumulant_fn(r) / self.sd ** r
         return CumulantSet(1, s, table, standardized=True)
 
-    def sum_cdf(self, n: int, x) -> np.ndarray:
+    def sum_cdf(self, n, x) -> np.ndarray:
         """Exact P((sum of n draws - n mean) / (sd sqrt n) <= x), elementwise
-        over the array x."""
+        over the broadcast of the integer array n (each >= 1) and the
+        array x.  The Gamma laws take every n in one incomplete-gamma call,
+        the other laws one n at a time; either way an entry is the same
+        float as in a call for its n alone, so a rate study evaluates all
+        its laws in one call."""
         if self.sum_cdf_fn is None:
             raise ValueError("family %r has no exact sum law" % self.name)
+        n = np.asarray(n)
+        if n.dtype.kind not in "iu" or np.any(n < 1):
+            raise ValueError("n must hold integers >= 1, not %r"
+                             % (n.tolist(),))
         return self.sum_cdf_fn(n, np.asarray(x, dtype=float))
 
     def sum_sample(self, n: int, M: int, rng: np.random.Generator
@@ -78,18 +86,33 @@ class Family:
 
 # ---------------------------------------------------------------------------
 # exact laws of standardized sums: each takes (n, x) and returns
-# P((S_n - n mean) / (sd sqrt n) <= x) elementwise over the array x
+# P((S_n - n mean) / (sd sqrt n) <= x) elementwise over the broadcast of
+# the integer array n and the array x
 
 def _log_factorials(n: int) -> np.ndarray:
     """ln k! for k = 0..n."""
     return np.array([lgamma(k + 1.0) for k in range(n + 1)])
 
 
+def _each_n(law):
+    """A law of one int n, taken over the broadcast of an integer array n
+    and x: one call per distinct n, on the points that carry it."""
+    def cdf(n, x):
+        n, x = np.broadcast_arrays(n, x)
+        out = np.empty(x.shape)
+        for m in np.unique(n):
+            at = n == m
+            out[at] = law(int(m), x[at])
+        return out
+    return cdf
+
+
 def _gamma_sum_cdf(k: float):
-    """Sums of n centered Gamma(k) draws: S_n + nk ~ Gamma(nk)."""
+    """Sums of n centered Gamma(k) draws: S_n + nk ~ Gamma(nk), every n
+    in one kernel call."""
     def cdf(n, x):
         a = n * k
-        return _lower_gamma_regularized(a, a + x * sqrt(a))
+        return _lower_gamma_regularized(a, a + x * np.sqrt(a))
     return cdf
 
 
@@ -106,7 +129,7 @@ def _bernoulli_sum_cdf(p: float):
         cum = np.concatenate(([0.0], np.cumsum(pmf)))
         atoms = (k - n * p) / (sd * sqrt(n))
         return cum[np.searchsorted(atoms, x, side="right")]
-    return cdf
+    return _each_n(cdf)
 
 
 def _three_point_sum_cdf(mean: float, sd: float):
@@ -127,7 +150,7 @@ def _three_point_sum_cdf(mean: float, sd: float):
             out += (exp(lf[n] - lf[c] - lf[m] + c * log(1 / 3)
                         + m * log(2 / 3)) * cum[top + 1])
         return out
-    return cdf
+    return _each_n(cdf)
 
 
 def _compositions(n: int, K: int):
@@ -169,7 +192,7 @@ def _mixture_sum_cdf(w, mus, sigmas, mean: float, sd: float):
             scale = np.sqrt((counts * var).sum(axis=1))[:, None]
             out += (pmf[keep, None] * _ndtr((y - loc) / scale)).sum(axis=0)
         return out
-    return cdf
+    return _each_n(cdf)
 
 
 def _normal_raw_moment(mu: float, sigma: float, k: int) -> float:
@@ -207,7 +230,7 @@ def make_family(name: str, **theta) -> Family:
             sampler=lambda rng, m: rng.standard_normal(m),
             cumulant_fn=lambda r: {1: 0.0, 2: 1.0}.get(r, 0.0),
             cf=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)[..., 0] ** 2),
-            sum_cdf_fn=lambda n, x: _ndtr(x),
+            sum_cdf_fn=lambda n, x: _ndtr(np.broadcast_arrays(n, x)[1]),
             sum_sampler=lambda n, M, rng: rng.standard_normal(M))
     if name == "bernoulli":
         p = float(theta.get("p", 0.5))

@@ -116,38 +116,39 @@ def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
                            side="right") / samples.size
 
 
-def exact_sum_cdf_mc(family: Family, n: int, M: int, t_grid: np.ndarray,
-                     seed: int, stream_key: Tuple[int, ...] = ()
+def exact_sum_cdf_mc(F: np.ndarray, M: int, seed: int,
+                     stream_key: Tuple[int, ...] = ()
                      ) -> Tuple[np.ndarray, float]:
     """Empirical CDF of M standardized sums on a grid, with its DKW band.
 
-    The numbers of M sums in the cells (-inf, t_0], (t_0, t_1], ...,
-    (t_last, inf) follow the Multinomial(M, p) law, p the increments of the
-    exact CDF family.sum_cdf(n, t_grid); one draw from the stream
-    child_rng(seed, *stream_key) gives them, and their cumulative sums are
-    the counts at or below each grid point.  This is the same experiment as
-    simulating the M sums, in O(grid) memory and time for any M, on one
-    thread.
+    F is the exact CDF of the sum at the grid points, one row of
+    Family.sum_cdf.  The numbers of M sums in the cells (-inf, t_0],
+    (t_0, t_1], ..., (t_last, inf) follow the Multinomial(M, p) law, p the
+    increments of F; one draw from the stream child_rng(seed, *stream_key)
+    gives them, and their cumulative sums are the counts at or below each
+    grid point.  This is the same experiment as simulating the M sums, in
+    O(grid) memory and time for any M.
     """
-    F = np.clip(family.sum_cdf(n, t_grid), 0.0, 1.0)
+    F = np.clip(F, 0.0, 1.0)
     p = np.maximum(np.diff(F, prepend=0.0, append=1.0), 0.0)
     counts = child_rng(seed, *stream_key).multinomial(M, p)
     return np.cumsum(counts[:-1]) / M, dkw_halfwidth(M)
 
 
 def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
-          t_grid, seed: int) -> List[StudyRecord]:
+          t_grid, seed: int, law: Optional[np.ndarray] = None
+          ) -> List[StudyRecord]:
     """Sup deviations at one (n, rep) for each s: in analytic mode the
-    empirical CDF of M sums, drawn from the sum's exact law by
-    exact_sum_cdf_mc on the stream (seed, family key, 0, n, rep), against
-    the analytic-cumulant expansion; in bootstrap mode bootstrap draws
-    against the empirical-cumulant expansion.  One cumulant table, of
-    order max(s_values), serves every s."""
+    empirical CDF of M sums, drawn from the sum's exact law on the grid
+    (law, a row of Family.sum_cdf) by exact_sum_cdf_mc on the stream
+    (seed, family key, 0, n, rep), against the analytic-cumulant
+    expansion; in bootstrap mode bootstrap draws against the
+    empirical-cumulant expansion.  One cumulant table, of order
+    max(s_values), serves every s."""
     fam_key = _family_key(family.name)
     order = max(s_values)
     if mode == "analytic":
-        cdf, band = exact_sum_cdf_mc(family, n, M, t_grid, seed,
-                                     (fam_key, 0, n, rep))
+        cdf, band = exact_sum_cdf_mc(law, M, seed, (fam_key, 0, n, rep))
         cumulants = family.standardized_cumulants(order)
         metric = "sup_dev"
     else:
@@ -171,6 +172,26 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
     return recs
 
 
+def _is_count(v) -> bool:
+    """v is an int >= 1, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _checked_grid(n_grid: Sequence[int], reps) -> List[int]:
+    """n_grid as a list, once it and reps are known to hold ints >= 1 and
+    n_grid to increase strictly over at least 4 points."""
+    n_grid = list(n_grid)
+    for n in n_grid:
+        if not _is_count(n):
+            raise ValueError("n_grid entries must be integers >= 1, not %r"
+                             % (n,))
+    if not _is_count(reps):
+        raise ValueError("reps must be an integer >= 1, not %r" % (reps,))
+    if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be strictly increasing with >= 4 points")
+    return n_grid
+
+
 def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
                seed: int, mode: str = "analytic", B: Optional[int] = None,
                reps: int = 1, workers: int = 1) -> StudyReport:
@@ -178,28 +199,30 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
 
     analytic mode compares the empirical CDF of M standardized sums, drawn
     from the sum's exact law (exact_sum_cdf_mc), against the
-    analytic-cumulant expansion; bootstrap mode compares bootstrap draws
-    against the empirical-cumulant expansion.  Both evaluate on
-    default_t_grid().  The (n, rep) cells run on a pool of `workers`
-    threads.  Fitted log-log slopes use non-flagged records only.
+    analytic-cumulant expansion; the exact laws of every n are evaluated
+    once, in one Family.sum_cdf call, before the cells run.  bootstrap
+    mode compares bootstrap draws against the empirical-cumulant
+    expansion.  Both evaluate on default_t_grid().  The (n, rep) cells run
+    on a pool of `workers` threads.  Fitted log-log slopes use non-flagged
+    records only.
     """
-    n_grid = list(n_grid)
-    if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly increasing with >= 4 points")
+    n_grid = _checked_grid(n_grid, reps)
     t_grid = default_t_grid()
     s_values = sorted({2, s})
-    cells = [(n, rep) for n in n_grid for rep in range(reps)]
     if mode not in ("analytic", "bootstrap"):
         raise ValueError("mode must be 'analytic' or 'bootstrap'")
     if mode == "bootstrap" and B is None:
         raise ValueError("bootstrap mode needs a resampling budget B")
-    if mode == "analytic" and not (isinstance(M, int)
-                                   and not isinstance(M, bool) and M >= 1):
+    if mode == "analytic" and not _is_count(M):
         raise ValueError("M must be an integer >= 1, not %r" % (M,))
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    laws = (family.sum_cdf(np.array(n_grid)[:, None], t_grid)
+            if mode == "analytic" else [None] * len(n_grid))
+    cells = [(n, rep, law) for n, law in zip(n_grid, laws)
+             for rep in range(reps)]
     work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,
-                              t_grid, seed)
+                              t_grid, seed, cell[2])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(work, cells))
 
@@ -231,10 +254,11 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
     """
     if len(families) == 0:
         raise ValueError("need at least one family variant")
+    n_grid = _checked_grid(n_grid, reps)
     report = StudyReport(config={
         "driver": "uniform_sweep",
         "families": [{"name": f.name, "theta": f.theta} for f in families],
-        "s": s, "n_grid": list(n_grid), "M": M, "B": B, "reps": reps,
+        "s": s, "n_grid": n_grid, "M": M, "B": B, "reps": reps,
         "mode": mode, "seed": seed, "rho_cap": rho_cap,
     })
     accepted = []

@@ -363,6 +363,30 @@ def test_rate_study_refuses_a_bad_sum_count(tmp_path, capsys, M):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["rate-study", "uniform-sweep"])
+@pytest.mark.parametrize("key, value, words", [
+    ("n_grid", [1.5, 25, 50, 100], ["n_grid", "1.5"]),
+    ("n_grid", [True, 25, 50, 100], ["n_grid", "True"]),
+    ("n_grid", [0, 25, 50, 100], ["n_grid", "not 0"]),
+    ("reps", 0, ["reps", "not 0"]),
+    ("reps", 1.5, ["reps", "1.5"]),
+], ids=["n-fraction", "n-bool", "n-zero", "reps-zero", "reps-fraction"])
+def test_study_refuses_a_bad_count(tmp_path, capsys, command, key, value,
+                                   words):
+    """Every n and reps must be an integer >= 1, and a bool is not one:
+    the study exits 1 naming the entry, before it writes anything."""
+    cfg = {"family": "centered-exponential",
+           "families": [{"name": "centered-exponential"}],
+           "n_grid": [25, 50, 100, 200], "M": 1000,
+           "out": str(tmp_path / "o"), key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming([command, "--config", str(path)],
+                  words + ["must be an integer" if key == "reps"
+                           else "must be integers >= 1"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_without_a_required_key(tmp_path, capsys):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(3).normal(size=(50, 2)))

@@ -326,10 +326,50 @@ def test_lower_incomplete_gamma_broadcasts_its_shape():
     got = _lower_gamma_regularized(a[:, None], x[None, :])
     assert got.shape == (a.size, x.size)
     assert np.max(np.abs(got - gammainc(a[:, None], x[None, :]))) <= 1e-10
-    # each element is the scalar-a kernel's value
+    # each element is the scalar-a kernel's value, to the last bit
     for i, ai in enumerate(a):
-        assert np.allclose(got[i], _lower_gamma_regularized(ai, x),
-                           rtol=1e-15, atol=0.0)
+        assert np.array_equal(got[i], _lower_gamma_regularized(ai, x))
+
+
+def _gamma_point(a: float, kind: int, u: float) -> float:
+    """An x for shape a: across a +- 6 sqrt(a) (kind 0), in the left tail
+    down to 1e-30 a (kind 1), or in the right tail out to a + 60 sqrt(a)
+    (kind 2), from u in [0, 1]."""
+    if kind == 0:
+        return max(a + (12.0 * u - 6.0) * sqrt(a), 0.0)
+    if kind == 1:
+        return a * 10.0 ** (-30.0 * u)
+    return a + (6.0 + 54.0 * u) * sqrt(a)
+
+
+_SHAPES = st.one_of(st.integers(1, 80_000).map(lambda k: k / 2.0),
+                    st.floats(0.5, 4e4))
+_GAMMA_POINTS = st.lists(
+    st.tuples(_SHAPES, st.integers(0, 2), st.floats(0.0, 1.0)).map(
+        lambda p: (p[0], _gamma_point(*p))), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GAMMA_POINTS, st.randoms(use_true_random=False))
+@example([(400.0, 400.0 + 0.5 * sqrt(400.0)), (25.0, 20.0), (4e4, 1e-26),
+          (0.5, 30.0)], None)
+def test_lower_incomplete_gamma_is_elementwise(points, rnd):
+    """Each element of a batch stops at its own convergence, so it is the
+    scalar call's float, and permuting or duplicating the batch changes
+    nothing."""
+    a = np.array([p[0] for p in points])
+    x = np.array([p[1] for p in points])
+    got = _lower_gamma_regularized(a, x)
+    alone = [float(_lower_gamma_regularized(ai, xi)) for ai, xi in points]
+    assert got.tolist() == alone
+    perm = np.arange(a.size)
+    if rnd is not None:
+        rnd.shuffle(perm)
+    assert np.array_equal(_lower_gamma_regularized(a[perm], x[perm]),
+                          got[perm])
+    twice = _lower_gamma_regularized(np.concatenate([a, a[::-1]]),
+                                     np.concatenate([x, x[::-1]]))
+    assert np.array_equal(twice, np.concatenate([got, got[::-1]]))
 
 
 def test_ball_measure_matches_one_kernel_call_per_degree():

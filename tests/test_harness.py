@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import binom, norm
 from scipy.stats import gamma as gamma_law
 
-from edgelab import bootstrap
+from edgelab import bootstrap, families, harness
 from edgelab.bootstrap import child_rng
 from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
@@ -103,7 +103,8 @@ def test_exact_sum_cdf_gaussian_band_honest():
     grid = default_t_grid()
     hits = []
     for seed in range(20):
-        cdf, band = exact_sum_cdf_mc(fam, 50, 20_000, grid, seed, (77,))
+        cdf, band = exact_sum_cdf_mc(fam.sum_cdf(50, grid), 20_000, seed,
+                                     (77,))
         inside = np.abs(cdf - norm.cdf(grid)) <= band
         hits.append(inside.mean())
     assert np.mean(hits) >= 0.99
@@ -180,6 +181,24 @@ def test_mixture_sum_cdf_drops_components_of_weight_zero():
     assert np.array_equal(three.sum_cdf(20, grid), two.sum_cdf(20, grid))
 
 
+def test_sum_cdf_takes_an_array_of_n():
+    """An integer array n broadcasts against x, and each row is the call
+    for its n alone, to the last bit."""
+    grid = default_t_grid()
+    ns = np.array([1, 7, 30, 64])
+    for fam in LAWS.values():
+        rows = fam.sum_cdf(ns[:, None], grid)
+        assert rows.shape == (ns.size, grid.size)
+        for n, row in zip(ns, rows):
+            assert np.array_equal(row, fam.sum_cdf(int(n), grid))
+
+
+@pytest.mark.parametrize("n", [0, 2.5, [3, -1], True])
+def test_sum_cdf_needs_integer_sum_sizes(n):
+    with pytest.raises(ValueError, match="integers >= 1"):
+        make_family("gamma").sum_cdf(n, default_t_grid())
+
+
 def test_sum_cdf_needs_a_law():
     fam = Family(**{**make_family("gaussian").__dict__, "sum_cdf_fn": None})
     with pytest.raises(ValueError, match="no exact sum law"):
@@ -199,7 +218,7 @@ def test_exact_sum_cdf_counts_add_up_to_M(name, M):
     fam = LAWS[name]
     grid = default_t_grid()
     key = (5, 0, 30, 1)
-    cdf, band = exact_sum_cdf_mc(fam, 30, M, grid, 11, key)
+    cdf, band = exact_sum_cdf_mc(fam.sum_cdf(30, grid), M, 11, key)
     p = np.diff(fam.sum_cdf(30, grid), prepend=0.0, append=1.0)
     counts = child_rng(11, *key).multinomial(M, np.maximum(p, 0.0))
     assert counts.sum() == M
@@ -213,8 +232,8 @@ def test_exact_sum_cdf_does_not_depend_on_cpus(monkeypatch):
     out = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
-        cdf, band = exact_sum_cdf_mc(fam, 30, 131_077, default_t_grid(), 11,
-                                     (5, 0, 30, 1))
+        cdf, band = exact_sum_cdf_mc(fam.sum_cdf(30, default_t_grid()),
+                                     131_077, 11, (5, 0, 30, 1))
         out.append(cdf.tobytes() + np.float64(band).tobytes())
     assert out[0] == out[1] == out[2]
 
@@ -224,11 +243,12 @@ def test_exact_sum_cdf_memory_does_not_grow_with_M():
     at M = 1: the chunked sampler held 2^16 sums (0.5 MB) per thread."""
     fam = make_family("centered-exponential")
     grid = default_t_grid()
+    F = fam.sum_cdf(400, grid)
     peaks = []
     for M in (1, 1, 2 ** 40):    # the first call warms numpy's caches
         tracemalloc.start()
         try:
-            exact_sum_cdf_mc(fam, 400, M, grid, 0, (1,))
+            exact_sum_cdf_mc(F, M, 0, (1,))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -262,6 +282,61 @@ def test_rate_study_grid_validation():
                    mode="bootstrap")  # needs B
     with pytest.raises(ValueError, match="workers"):
         rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0, workers=0)
+
+
+def _count_kernel_calls(monkeypatch):
+    """A list that grows by one per call of the incomplete-gamma kernel
+    from the Gamma laws."""
+    calls = []
+    kernel = families._lower_gamma_regularized
+
+    def counted(a, x):
+        calls.append(np.shape(a))
+        return kernel(a, x)
+    monkeypatch.setattr(families, "_lower_gamma_regularized", counted)
+    return calls
+
+
+def test_rate_study_evaluates_its_gamma_laws_in_one_kernel_call(
+        monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    rate_study(make_family("gamma", shape=0.7), 3, [25, 50, 100, 200, 400],
+               M=20_000, seed=0, reps=2, workers=3)
+    assert calls == [(5, 1)]
+
+
+def test_uniform_sweep_calls_the_kernel_once_per_gamma_variant(monkeypatch):
+    """Shape 0.25 exceeds the moment cap (E|Z|^3 about 4.1) and is not
+    run; the Gaussian law calls no kernel."""
+    calls = _count_kernel_calls(monkeypatch)
+    fams = [make_family("centered-exponential"), make_family("gaussian"),
+            make_family("gamma", shape=0.25), make_family("gamma")]
+    rep = uniform_sweep(fams, 3, [25, 50, 100, 200], M=20_000, seed=4,
+                        rho_cap=3.0)
+    assert [(r.family, r.theta) for r in rep.records
+            if r.metric == "rho_proxy_rejected"] == [
+                ("gamma", '{"shape": 0.25}')]
+    assert calls == [(4, 1), (4, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_rate_study_rows_are_each_n_law(monkeypatch, name):
+    """Every analytic cell draws from the row that Family.sum_cdf gives
+    for its n alone, bit for bit."""
+    fam = LAWS[name]
+    grid = default_t_grid()
+    seen = {}
+    draw = harness.exact_sum_cdf_mc
+
+    def recorded(F, M, seed, stream_key=()):
+        seen[stream_key[2:]] = F.copy()
+        return draw(F, M, seed, stream_key)
+    monkeypatch.setattr(harness, "exact_sum_cdf_mc", recorded)
+    n_grid = [1, 7, 30, 64]
+    rate_study(fam, 3, n_grid, M=1000, seed=0, reps=2, workers=2)
+    assert sorted(seen) == [(n, rep) for n in n_grid for rep in (0, 1)]
+    for (n, rep), F in seen.items():
+        assert np.array_equal(F, fam.sum_cdf(n, grid))
 
 
 def test_rate_study_bootstrap_mode():
