@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _temme
 from .cumulants import CumulantSet, MultiIndex, chi_poly
 from .jets import series_mul
 
@@ -335,6 +336,9 @@ class MeasureResult:
     method: str
 
 
+_TEMME_ROWS = [np.array(row) for row in _temme.D]
+
+
 def _ndtr(x: np.ndarray):
     """Standard normal CDF, erfc(-x / sqrt 2) / 2: a float for a 0-d array,
     else an array filled by one elementwise pass over the entries that are
@@ -383,24 +387,53 @@ def _box_measure(e: EdgeworthExpansion, low, high) -> np.ndarray:
 
 def _lower_gamma_regularized(a, x) -> np.ndarray:
     """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, elementwise over the
-    broadcast of a and x (0 at x <= 0, 1 at x = inf).
+    broadcast of a and x (0 at x <= 0, 1 at x = inf), in three regions.
 
-    Both branches scale by x^a e^-x / Gamma(a), taken in log space as
-    exp(a ln x - x - lgamma(a)), so no factor overflows for any a.  Where
-    x^a and e^-x / Gamma(a) are both normal floats their direct product
-    is used: it is correctly rounded, while exp of a large log loses about
-    eps * |a ln x| (1e-13 relative at x = 1e-35, a = 7).  Below x = a + 1
-    the series sum_k x^k / (a)_{k+1} has positive terms (_gamma_series);
-    above it Q = 1 - P is a continued fraction (_gamma_fraction), and
-    Q < 1/2 there, so 1 - Q does not cancel.  Each element stops at its
-    own convergence and then leaves the live arrays, so P(a, x) at a point
-    is the same float alone as in any batch.
+    With lambda = x / a and eta^2 / 2 = lambda - 1 - ln lambda (sign eta =
+    sign(lambda - 1)), the window a >= 20, |eta| <= 1.5 (0.137 <= lambda
+    <= 3.327) takes Temme's uniform expansion (_gamma_temme), a fixed
+    number of array passes for any a; it holds x = a + t sqrt(a) for every
+    |t| <= 5 once a >= 34.  Outside it, below x = a + 1 the series
+    sum_k x^k / (a)_{k+1} has positive terms (_gamma_series); above it
+    Q = 1 - P is a continued fraction (_gamma_fraction), and Q < 1/2
+    there, so 1 - Q does not cancel.  Both scale by x^a e^-x / Gamma(a),
+    taken in log space as exp(a ln x - x - lgamma(a)), so no factor
+    overflows for any a; where x^a and e^-x / Gamma(a) are both normal
+    floats their direct product is used: it is correctly rounded, while
+    exp of a large log loses about eps * |a ln x| (1e-13 relative at
+    x = 1e-35, a = 7).  Each element of the series and the fraction stops
+    at its own convergence and then leaves the live arrays, and the
+    window's passes are elementwise, so P(a, x) at a point is the same
+    float alone as in any batch.
+
+    Largest relative error against mpmath at 50 digits over x = a +
+    t sqrt(a), t in [-5, 5] (201 points), and time per 401-point call
+    (best of 7 x 50 calls, 2 vCPUs), without the window and with it:
+
+        a       error without  error with  ms without  ms with
+        25      4.3e-15        1.1e-14     0.59        0.28
+        100     1.7e-15        1.2e-14     0.99        0.22
+        400     3.7e-13        4.3e-15     1.74        0.22
+        3200    5.7e-12        5.8e-15     3.45        0.24
+        4e4     7.0e-11        6.2e-15     8.52        0.24
+
+    The error stays below 2.2e-14 over 40 shapes from 20 to 4e4.  In the
+    far left tail, where P < 1e-48, e^(-a eta^2 / 2) loses about eps
+    times its argument, so the error grows to about 4 eps |ln P|.
     """
     a = np.asarray(a, dtype=float)
     lga = np.fromiter(map(lgamma, a.flat), float, a.size).reshape(a.shape)
     a, lga, x = np.broadcast_arrays(a, lga, np.asarray(x, dtype=float))
     out = np.where(x > 0, 1.0, 0.0)
     live = (x > 0) & np.isfinite(x)
+    big = live & (a >= _temme.A0)
+    if big.any():
+        eta, half_sq = _temme_eta(a[big], x[big])
+        window = np.abs(eta) <= _temme.H
+        inside = np.zeros_like(live)
+        inside[big] = window
+        out[inside] = _gamma_temme(a[inside], eta[window], half_sq[window])
+        live &= ~inside
     xl, al, lg = x[live], a[live], lga[live]
     ax = al * np.log(xl)
     pre = np.exp(ax - xl - lg)
@@ -413,6 +446,46 @@ def _lower_gamma_regularized(a, x) -> np.ndarray:
                                                           xl[fraction])
     out[live] = pre
     return out
+
+
+def _temme_eta(a: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """eta and eta^2 / 2 = mu - ln(1 + mu), mu = (x - a) / a, over 1-d
+    arrays.  For |mu| < 0.3 the difference is taken without cancellation
+    as r mu - 2 r^3 sum_j r^(2j) / (2j + 3), r = mu / (2 + mu) (so that
+    ln(1 + mu) = 2 artanh r), ten terms of the sum reaching 2^-53."""
+    mu = (x - a) / a
+    r = mu / (2.0 + mu)
+    r2 = r * r
+    tail = 0.0
+    for j in range(9, -1, -1):
+        tail = tail * r2 + 1.0 / (2 * j + 3)
+    with np.errstate(divide="ignore"):
+        half_sq = np.where(np.abs(mu) < 0.3, r * mu - 2.0 * r * r2 * tail,
+                           mu - np.log1p(mu))
+    return np.copysign(np.sqrt(2.0 * half_sq), mu), half_sq
+
+
+def _gamma_temme(a: np.ndarray, eta: np.ndarray, half_sq: np.ndarray
+                 ) -> np.ndarray:
+    """P(a, x) = Phi(eta sqrt a) - R_a(eta) over 1-d arrays (DLMF 8.12.3),
+    R_a(eta) = e^(-a eta^2 / 2) / sqrt(2 pi a) sum_{k,n} d_{k,n} eta^n a^-k
+    with the table edgelab._temme.D (Temme 1979; DiDonato and Morris
+    1986).  The sums over k, e_n(a) = sum_k d_{k,n} a^-k, are taken once
+    per distinct a, and the sum over n by Horner's rule in eta; every
+    pass is elementwise, so an element's float does not depend on the
+    batch."""
+    shapes, which = np.unique(a, return_inverse=True)
+    inv = 1.0 / shapes
+    e = np.zeros((_TEMME_ROWS[0].size, shapes.size))
+    for row in reversed(_TEMME_ROWS):
+        e *= inv
+        e[:row.size] += row[:, None]
+    e = e[:, which]
+    total = e[-1]
+    for n in range(e.shape[0] - 2, -1, -1):
+        total = total * eta + e[n]
+    remainder = np.exp(-a * half_sq) / np.sqrt(2.0 * pi * a) * total
+    return _ndtr(eta * np.sqrt(a)) - remainder
 
 
 def _gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:

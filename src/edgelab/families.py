@@ -10,7 +10,8 @@ serve the tests as the oracle of the exact law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, factorial, lgamma, log, sqrt
+from math import comb, exp, factorial, isfinite, lgamma, log, sqrt
+from numbers import Real
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -222,8 +223,51 @@ def _mixture_cumulant_fn(w, mus, sigmas):
                                       for wi, m, s in zip(w, mus, sigmas)))
 
 
+def _real(family: str, name: str, v) -> float:
+    """v as a float, once it is a finite real number (not a bool or a
+    string)."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not isfinite(v):
+        raise ValueError("%s %s must be a finite number, not %r"
+                         % (family, name, v))
+    return float(v)
+
+
+def _positive(family: str, name: str, v) -> float:
+    out = _real(family, name, v)
+    if out <= 0:
+        raise ValueError("%s %s must be a finite number > 0, not %r"
+                         % (family, name, v))
+    return out
+
+
+def _reals(family: str, name: str, v, check=_real) -> tuple:
+    """A non-empty list of parameters as a tuple, once check accepts each
+    of them."""
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError("%s %s must be a non-empty list of numbers, not %r"
+                         % (family, name, v))
+    for u in v:
+        check(family, name, u)
+    return tuple(v)
+
+
+_PARAMETERS = {"gaussian": (), "three-point-irrational": (),
+               "centered-exponential": (), "bernoulli": ("p",),
+               "gamma": ("shape",),
+               "gaussian-mixture": ("weights", "means", "sds")}
+
+
 def make_family(name: str, **theta) -> Family:
-    """Construct a builtin family, overriding default parameters."""
+    """Construct a builtin family, overriding default parameters.  A
+    parameter the family does not take, or a value outside its domain,
+    is refused with a ValueError that names the family and the
+    parameter."""
+    if name not in _PARAMETERS:
+        raise ValueError("unknown family %r" % (name,))
+    unknown = sorted(set(theta) - set(_PARAMETERS[name]))
+    if unknown:
+        raise ValueError("%s takes no parameter %s"
+                         % (name, ", ".join(map(repr, unknown))))
     if name == "gaussian":
         return Family(
             name="gaussian", d=1, theta={}, lattice=False, mean=0.0, sd=1.0,
@@ -233,7 +277,9 @@ def make_family(name: str, **theta) -> Family:
             sum_cdf_fn=lambda n, x: _ndtr(np.broadcast_arrays(n, x)[1]),
             sum_sampler=lambda n, M, rng: rng.standard_normal(M))
     if name == "bernoulli":
-        p = float(theta.get("p", 0.5))
+        p = _real(name, "p", theta.get("p", 0.5))
+        if not 0 < p < 1:
+            raise ValueError("bernoulli p must lie in (0, 1), not %r" % (p,))
         support = np.array([0.0, 1.0])
         weights = np.array([1 - p, p])
         return Family(
@@ -269,7 +315,7 @@ def make_family(name: str, **theta) -> Family:
             sum_sampler=lambda n, M, rng:
                 (rng.gamma(n, size=M) - n) / sqrt(n))
     if name == "gamma":
-        k = float(theta.get("shape", 2.0))
+        k = _positive(name, "shape", theta.get("shape", 2.0))
         return Family(
             name="gamma", d=1, theta={"shape": k}, lattice=False,
             mean=0.0, sd=sqrt(k),
@@ -280,9 +326,12 @@ def make_family(name: str, **theta) -> Family:
             sum_sampler=lambda n, M, rng:
                 (rng.gamma(n * k, size=M) - n * k) / sqrt(n * k))
     if name == "gaussian-mixture":
-        w = tuple(theta.get("weights", (0.5, 0.5)))
-        mus = tuple(theta.get("means", (-1.0, 1.0)))
-        sigmas = tuple(theta.get("sds", (0.5, 1.0)))
+        w = _reals(name, "weights", theta.get("weights", (0.5, 0.5)))
+        mus = _reals(name, "means", theta.get("means", (-1.0, 1.0)))
+        sigmas = _reals(name, "sds", theta.get("sds", (0.5, 1.0)), _positive)
+        if not len(w) == len(mus) == len(sigmas):
+            raise ValueError("gaussian-mixture weights, means and sds must "
+                             "have the same length")
         if abs(sum(w) - 1) > 1e-12 or min(w) < 0:
             raise ValueError("mixture weights must be >= 0 and sum to 1")
         mean = sum(wi * m for wi, m in zip(w, mus))
@@ -300,4 +349,3 @@ def make_family(name: str, **theta) -> Family:
             lattice=False, mean=mean, sd=sd, sampler=sampler,
             cumulant_fn=_mixture_cumulant_fn(w, mus, sigmas),
             sum_cdf_fn=_mixture_sum_cdf(w, mus, sigmas, mean, sd))
-    raise ValueError("unknown family %r" % (name,))

@@ -387,6 +387,51 @@ def test_study_refuses_a_bad_count(tmp_path, capsys, command, key, value,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("family, theta, words", [
+    ("gamma", {"shape": -1.5}, ["gamma shape", "> 0", "-1.5"]),
+    ("gamma", {"shape": 0}, ["gamma shape", "> 0", "not 0"]),
+    ("gamma", {"shape": "nan"}, ["gamma shape", "finite number", "'nan'"]),
+    ("gamma", {"shape": True}, ["gamma shape", "finite number", "True"]),
+    ("bernoulli", {"p": 1.0}, ["bernoulli p", "(0, 1)", "1.0"]),
+    ("bernoulli", {"p": 0}, ["bernoulli p", "(0, 1)", "not 0"]),
+    ("bernoulli", {"p": "0.3"}, ["bernoulli p", "finite number", "'0.3'"]),
+    ("gaussian-mixture", {"sds": [0, 0]}, ["gaussian-mixture sds", "> 0"]),
+    ("gaussian-mixture", {"sds": [1.0, "1"]},
+     ["gaussian-mixture sds", "finite number", "'1'"]),
+    ("gaussian-mixture", {"means": [0.0, False]},
+     ["gaussian-mixture means", "finite number", "False"]),
+    ("gaussian-mixture", {"means": [0.0]},
+     ["gaussian-mixture", "same length"]),
+    ("gamma", {"shap": 2.0}, ["gamma takes no parameter", "'shap'"]),
+], ids=["shape-negative", "shape-zero", "shape-string", "shape-bool",
+        "p-one", "p-zero", "p-string", "sd-zero", "sd-string", "mean-bool",
+        "mean-length", "unknown-key"])
+def test_rate_study_refuses_a_bad_family_parameter(tmp_path, capsys, family,
+                                                    theta, words):
+    """A parameter outside the family's domain, or of the wrong type,
+    exits 1 naming the family and the parameter, before any work.  (The
+    config reader already refuses Infinity and NaN; make_family refuses
+    them too, see test_family_parameters_must_be_finite.)"""
+    cfg = {"family": family, "theta": theta, "n_grid": [25, 50, 100, 200],
+           "M": 1000, "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming(["rate-study", "--config", str(path)], words, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_uniform_sweep_refuses_a_bad_family_parameter(tmp_path, capsys):
+    cfg = {"families": [{"name": "gamma"},
+                        {"name": "gamma", "theta": {"shape": "nan"}}],
+           "n_grid": [25, 50, 100, 200], "M": 1000,
+           "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming(["uniform-sweep", "--config", str(path)],
+                  ["gamma shape", "finite number", "'nan'"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_without_a_required_key(tmp_path, capsys):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(3).normal(size=(50, 2)))
@@ -542,8 +587,10 @@ def test_csv_bad_row_names_its_file_line(tmp_path, capsys, text, message):
 
 
 def test_cli_does_not_import_scipy(tmp_path):
-    """scipy is a test dependency only: certify and rate-study run in a
-    fresh interpreter without loading it."""
+    """scipy, sympy and mpmath are test dependencies only, and the Temme
+    table is committed, not derived: certify and rate-study run in a
+    fresh interpreter without loading any of them or the table's
+    generator."""
     data = write_points(tmp_path / "pts.csv",
                         np.array([0.0, 1.0, math.sqrt(2.0)] * 20)[:, None])
     cfg = tmp_path / "cfg.json"
@@ -558,7 +605,8 @@ for argv in (["certify", "--data", sys.argv[1], "--Tmax", "20",
               "--grid-radii", "32"],
              ["rate-study", "--config", sys.argv[2]]):
     assert edgelab.cli.main(argv) in (0, 2), argv
-assert "scipy" not in sys.modules, "scipy was imported"
+for name in ("scipy", "sympy", "mpmath", "temme_table"):
+    assert name not in sys.modules, name + " was imported"
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -619,6 +667,8 @@ def test_each_data_set_is_summarized_once(tmp_path, capsys, monkeypatch,
         assert main(["tstat-study", "--n", "60", "--B", "1000",
                      "--tgrid=-1:1:0.5", "--out", out]) == 0
     else:
+        t_grid = harness.default_t_grid()
         harness._cell(make_family("centered-exponential"), 40, 0, [2, 3],
-                      "bootstrap", None, 1000, harness.default_t_grid(), 3)
+                      "bootstrap", None, 1000, t_grid, 3,
+                      harness._hermite_interval(3, -math.inf, t_grid))
     assert (counts["sample_stats"], counts["raw_moments_from_points"]) == want

@@ -2,6 +2,8 @@ import json
 import math
 from fractions import Fraction
 from math import factorial, inf, sqrt, pi
+from pathlib import Path
+from typing import List
 
 import mpmath
 import numpy as np
@@ -11,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, ndtr
 from scipy.stats import norm
 
-from edgelab import expansion
+from edgelab import _temme, expansion
 from edgelab.cumulants import (CumulantSet, chi_poly,
                                enumerate_multi_indices, multi_factorial)
 from edgelab.expansion import (EdgeworthExpansion, SetSpec,
@@ -295,16 +297,132 @@ def test_lower_incomplete_gamma_matches_scipy(two_s, x):
         assert abs(got - ref) <= 1e-13 * ref
 
 
+def _mp_lower_gamma(a: float, x: float) -> float:
+    """P(a, x) from mpmath at 50 digits: the lower integral below x = a,
+    one minus the upper one above it (where mpmath's series for the lower
+    one can fail to converge at large a)."""
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        if x <= a:
+            return float(mpmath.gammainc(a, 0, x, regularized=True))
+        return float(1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+
+
+def _assert_close_to_mpmath(a: float, x: np.ndarray) -> None:
+    """Within 1e-13 relative of mpmath, or 4 eps |ln P| in the far left
+    tail, where P < 1e-48: there P is about e^(-a eta^2 / 2), and the
+    exponential loses eps times its argument; 0 where mpmath's value
+    underflows."""
+    got = _lower_gamma_regularized(a, x)
+    for xi, g in zip(x.tolist(), got.tolist()):
+        ref = _mp_lower_gamma(a, xi)
+        if ref == 0.0:
+            assert g == 0.0, (a, xi, g)
+        else:
+            bound = max(1e-13, 4 * 2.0 ** -52 * abs(math.log(ref)))
+            assert abs(g - ref) <= bound * ref, (a, xi, g, ref)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.5, 30.0, 170.5, 400.0,
-                               3200.0, 4e4])
+                               3200.0, 4e4, 19.5, 20.0, 20.5, 33.5, 50.0,
+                               1000.5, 12345.6])
 def test_lower_incomplete_gamma_matches_scipy_for_large_shapes(a):
     """P(a, x) at x = a + t sqrt(a), t in [-5, 5] (the standardized sums'
-    grid), and far out in both tails, within 1e-10 of scipy's gammainc."""
-    x = np.concatenate([a + np.linspace(-5.0, 5.0, 401) * sqrt(a),
-                        [a / 50.0, 3.0 * a + 100.0]])
-    x = x[x >= 0.0]
-    assert np.max(np.abs(_lower_gamma_regularized(a, x)
-                         - gammainc(a, x))) <= 1e-10
+    grid), and in both tails, at a/50, a/10 and 3 a + 100, against
+    mpmath at 50 digits (_assert_close_to_mpmath), inside the Temme window
+    (a >= 20, |eta| <= 1.5) and outside it.  (The name is older than the
+    oracle: scipy's gammainc was the reference, within 1e-10 absolute.)"""
+    x = np.concatenate([a + np.linspace(-5.0, 5.0, 101) * sqrt(a),
+                        [a / 50.0, a / 10.0, 3.0 * a + 100.0]])
+    _assert_close_to_mpmath(a, x[x > 0.0])
+
+
+def _window_lambdas() -> List[float]:
+    """The roots lambda < 1 < lambda' of lambda - 1 - ln lambda = H^2 / 2,
+    where the Temme window ends (|eta| = H), by bisection."""
+    roots = []
+    for lo, hi in ((1e-3, 1.0), (1.0, 10.0)):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g = mid - 1.0 - math.log(mid) - _temme.H ** 2 / 2.0
+            if (g > 0) == (mid < 1.0):
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots
+
+
+_WINDOW_LAMBDAS = _window_lambdas()
+
+
+def _temme_edges(a: float) -> List[float]:
+    """x at both edges |eta| = H of the Temme window at shape a, and
+    their neighbours 1e-14 relative apart."""
+    return [a * lam * (1.0 + k * 1e-14) for lam in _WINDOW_LAMBDAS
+            for k in range(-8, 9)]
+
+
+@pytest.mark.parametrize("a", [20.0, 21.5, 50.0, 400.0])
+def test_lower_incomplete_gamma_is_continuous_across_the_window(a):
+    """At both eta edges, neighbouring points 1e-14 apart, inside and
+    outside the window, are each as close to mpmath as anywhere, so the
+    branches meet to that accuracy."""
+    x = np.array(_temme_edges(a))
+    eta, _ = expansion._temme_eta(np.full(x.shape, a), x)
+    inside = np.abs(eta) <= _temme.H
+    assert inside[:17].any() and not inside[:17].all()
+    assert inside[17:].any() and not inside[17:].all()
+    _assert_close_to_mpmath(a, x)
+    # the batch holds both branches; each element is its scalar call
+    got = _lower_gamma_regularized(a, x)
+    assert got.tolist() == [float(_lower_gamma_regularized(a, xi))
+                            for xi in x]
+
+
+def test_lower_incomplete_gamma_is_continuous_at_the_window_shape():
+    """a = 20 takes the Temme branch near x = a and the float below 20
+    the series and the fraction; they agree within 1e-13 relative on the
+    grid x = a + t sqrt(a), t in [-5, 5]."""
+    below = float(np.nextafter(_temme.A0, 0.0))
+    x = _temme.A0 + np.linspace(-5.0, 5.0, 401) * sqrt(_temme.A0)
+    x = x[x > 0.0]
+    assert np.allclose(_lower_gamma_regularized(below, x),
+                       _lower_gamma_regularized(_temme.A0, x),
+                       rtol=1e-13, atol=0.0)
+
+
+def test_temme_table_is_its_rounded_rationals():
+    """The committed table is the generator's output: every d_{k,n} is the
+    float nearest its exact rational, re-derived here (the generator also
+    checks that the poles of each recurrence step cancel), with the same
+    window and the same truncation."""
+    import temme_table
+
+    rows = temme_table.table()
+    assert (_temme.A0, _temme.H) == (temme_table.A0, float(temme_table.H))
+    assert [len(r) for r in _temme.D] == [len(r) for r in rows]
+    for committed, exact in zip(_temme.D, rows):
+        assert list(committed) == [float(d) for d in exact]
+    assert (Path(_temme.__file__).read_text()
+            == temme_table.module_text(rows))
+
+
+def test_temme_coefficients_match_the_known_ones():
+    """The first coefficients as printed in DLMF 8.12.9 and Temme (1979),
+    and the Stirling coefficients of DLMF 5.11.4."""
+    import temme_table
+
+    c = temme_table.temme_rows(3, 6)
+    assert c[0][:4] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
+                        Fraction(1, 864)]
+    assert c[1][:3] == [Fraction(-1, 540), Fraction(-1, 288),
+                        Fraction(1, 378)]
+    assert c[2][0] == Fraction(25, 6048)
+    assert temme_table.stirling_g(4) == [1, Fraction(1, 12),
+                                         Fraction(1, 288),
+                                         Fraction(-139, 51840),
+                                         Fraction(-571, 2488320)]
 
 
 @pytest.mark.parametrize("a, x", [(200.0, 190.0), (0.5, 900.0),
@@ -333,30 +451,39 @@ def test_lower_incomplete_gamma_broadcasts_its_shape():
 
 def _gamma_point(a: float, kind: int, u: float) -> float:
     """An x for shape a: across a +- 6 sqrt(a) (kind 0), in the left tail
-    down to 1e-30 a (kind 1), or in the right tail out to a + 60 sqrt(a)
-    (kind 2), from u in [0, 1]."""
+    down to 1e-30 a (kind 1), in the right tail out to a + 60 sqrt(a)
+    (kind 2), or within 1e-12 relative of an edge of the Temme window
+    (kind 3), from u in [0, 1]."""
     if kind == 0:
         return max(a + (12.0 * u - 6.0) * sqrt(a), 0.0)
     if kind == 1:
         return a * 10.0 ** (-30.0 * u)
-    return a + (6.0 + 54.0 * u) * sqrt(a)
+    if kind == 2:
+        return a + (6.0 + 54.0 * u) * sqrt(a)
+    lam = _WINDOW_LAMBDAS[u >= 0.5]
+    return a * lam * (1.0 + (u % 0.5 - 0.25) * 4e-12)
 
 
 _SHAPES = st.one_of(st.integers(1, 80_000).map(lambda k: k / 2.0),
-                    st.floats(0.5, 4e4))
+                    st.floats(0.5, 4e4), st.floats(19.0, 21.0))
 _GAMMA_POINTS = st.lists(
-    st.tuples(_SHAPES, st.integers(0, 2), st.floats(0.0, 1.0)).map(
+    st.tuples(_SHAPES, st.integers(0, 3), st.floats(0.0, 1.0)).map(
         lambda p: (p[0], _gamma_point(*p))), min_size=1, max_size=12)
+_LO, _HI = _WINDOW_LAMBDAS
 
 
 @settings(max_examples=60, deadline=None)
 @given(_GAMMA_POINTS, st.randoms(use_true_random=False))
 @example([(400.0, 400.0 + 0.5 * sqrt(400.0)), (25.0, 20.0), (4e4, 1e-26),
           (0.5, 30.0)], None)
+@example([(400.0, 400.0 * _LO * (1 - 1e-13)), (400.0, 400.0 * _LO),
+          (50.0, 50.0 * _HI), (50.0, 50.0 * _HI * (1 + 1e-13)),
+          (float(np.nextafter(20.0, 0.0)), 20.0), (20.0, 20.0)], None)
 def test_lower_incomplete_gamma_is_elementwise(points, rnd):
-    """Each element of a batch stops at its own convergence, so it is the
-    scalar call's float, and permuting or duplicating the batch changes
-    nothing."""
+    """Each element of a batch stops at its own convergence or takes the
+    fixed passes of the Temme window, so it is the scalar call's float,
+    and permuting or duplicating the batch changes nothing; batches mix
+    points inside and outside the window."""
     a = np.array([p[0] for p in points])
     x = np.array([p[1] for p in points])
     got = _lower_gamma_regularized(a, x)

@@ -8,7 +8,8 @@ from scipy.stats import binom, norm
 from scipy.stats import gamma as gamma_law
 
 from edgelab import bootstrap, families, harness
-from edgelab.bootstrap import child_rng
+from edgelab.bootstrap import child_rng, empirical_edgeworth, sample_stats
+from edgelab.expansion import EdgeworthExpansion, build_expansion
 from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
                              dkw_halfwidth, ecdf_on_grid, emit_report,
@@ -73,6 +74,22 @@ def test_mixture_weight_validation():
     with pytest.raises(ValueError, match=">= 0"):
         make_family("gaussian-mixture", weights=(0.6, 0.5, -0.1),
                     means=(-2.0, 2.0, 0.0), sds=(1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("name, theta, words", [
+    ("gamma", {"shape": math.inf}, "gamma shape must be a finite number"),
+    ("gamma", {"shape": math.nan}, "gamma shape must be a finite number"),
+    ("bernoulli", {"p": math.nan}, "bernoulli p must be a finite number"),
+    ("gaussian-mixture", {"means": (0.0, math.inf)},
+     "gaussian-mixture means must be a finite number"),
+    ("gaussian-mixture", {"sds": (1.0, math.nan)},
+     "gaussian-mixture sds must be a finite number"),
+    ("gaussian-mixture", {"weights": (0.5, math.nan)},
+     "gaussian-mixture weights must be a finite number"),
+])
+def test_family_parameters_must_be_finite(name, theta, words):
+    with pytest.raises(ValueError, match=words):
+        make_family(name, **theta)
 
 
 # -- slope fitting ----------------------------------------------------------
@@ -337,6 +354,50 @@ def test_rate_study_rows_are_each_n_law(monkeypatch, name):
     assert sorted(seen) == [(n, rep) for n in n_grid for rep in (0, 1)]
     for (n, rep), F in seen.items():
         assert np.array_equal(F, fam.sum_cdf(n, grid))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "bootstrap"])
+def test_rate_study_takes_one_hermite_basis(monkeypatch, mode):
+    """A study integrates He_k phi up to its grid points once, for the
+    degrees of its largest s, and calls no cdf_1d: each cell contracts
+    that basis."""
+    degrees = []
+    interval = harness._hermite_interval
+
+    def counted(K, a, b):
+        degrees.append(K)
+        return interval(K, a, b)
+
+    def refused(self, t):
+        raise AssertionError("cdf_1d called")
+    monkeypatch.setattr(harness, "_hermite_interval", counted)
+    monkeypatch.setattr(EdgeworthExpansion, "cdf_1d", refused)
+    rate_study(make_family("gamma", shape=0.7), 5, [25, 50, 100, 200],
+               M=2000, seed=0, mode=mode, B=500, reps=2, workers=2)
+    assert degrees == [9]
+
+
+@pytest.mark.parametrize("name, s", [("centered-exponential", 2),
+                                     ("centered-exponential", 3),
+                                     ("gamma", 5), ("bernoulli", 4),
+                                     ("gaussian", 4),
+                                     ("three-point-irrational", 5)])
+def test_hermite_contraction_is_cdf_1d(name, s):
+    """The cells' contraction of one basis of degree 3 (s - 2) is the
+    expansion's cdf_1d on the grid, bit for bit, for every s up to s and
+    for analytic and empirical cumulants."""
+    grid = default_t_grid()
+    basis = harness._hermite_interval(3 * (s - 2), -math.inf, grid)
+    fam = make_family(name)
+    sample = fam.sample(child_rng(0, 9), 50)
+    tables = [fam.standardized_cumulants(s),
+              empirical_edgeworth(sample_stats(sample), s).cumulants]
+    for cumulants in tables:
+        for order in range(2, s + 1):
+            e = build_expansion(cumulants, 40, order)
+            assert np.array_equal(
+                harness._contract(e.hermite_coeffs, e.n, [basis]),
+                e.cdf_1d(grid))
 
 
 def test_rate_study_bootstrap_mode():
