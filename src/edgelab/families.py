@@ -333,7 +333,8 @@ def make_family(name: str, **theta) -> Family:
             raise ValueError("gaussian-mixture weights, means and sds must "
                              "have the same length")
         if abs(sum(w) - 1) > 1e-12 or min(w) < 0:
-            raise ValueError("mixture weights must be >= 0 and sum to 1")
+            raise ValueError("gaussian-mixture weights must be >= 0 and "
+                             "sum to 1")
         mean = sum(wi * m for wi, m in zip(w, mus))
         second = sum(wi * (s * s + m * m) for wi, m, s in zip(w, mus, sigmas))
         sd = sqrt(second - mean ** 2)
