@@ -5,18 +5,16 @@ __version__ = "0.1.0"
 
 from .cumulants import (CumulantSet, MomentSet,
                         averaged_standardized_cumulants, chi_poly,
-                        cumulants_to_moments, enumerate_multi_indices,
-                        moments_to_cumulants, raw_moments_from_points)
+                        enumerate_multi_indices, moments_to_cumulants,
+                        raw_moments_from_points)
 from .expansion import (EdgeworthExpansion, SetSpec, build_expansion,
-                        hermite_tensor, hermite_value, pj_polynomial,
-                        set_measure)
+                        pj_polynomial, set_measure)
 from .cramer import (CharFunctionHandle, CramerCertificate, c_r_lower_bound,
                      eval_cf, failure_prob_bound, mean_weak_cramer_scan,
                      ustat_certificate, weak_cramer_scan)
 from .bootstrap import (EventFlags, SampleStats, bootstrap_draws,
-                        empirical_edgeworth, enlargement_deviation,
-                        event_checks, g_value_and_jet, sample_stats,
-                        sup_deviation, tstat_bootstrap)
+                        empirical_edgeworth, event_checks, g_value_and_jet,
+                        sample_stats, tstat_bootstrap)
 from .families import Family, make_family
 from .harness import (StudyRecord, StudyReport, emit_report, exact_sum_cdf_mc,
                       rate_study, uniform_sweep)

@@ -16,7 +16,7 @@ from .cumulants import (CumulantSet, MultiIndex, _series_substitute_linear,
                         _spd_roots, as_points, enumerate_multi_indices,
                         moments_to_cumulants, multi_factorial,
                         raw_moments_from_points)
-from .expansion import (EdgeworthExpansion, SetSpec, _hermite_column,
+from .expansion import (EdgeworthExpansion, _hermite_column,
                         _hermite_interval, build_expansion)
 from .jets import series_mul, series_pow
 
@@ -32,8 +32,6 @@ __all__ = [
     "tstat_pushforward",
     "edgeworth_tstat_curve",
     "edgeworth_tstat_exact",
-    "sup_deviation",
-    "enlargement_deviation",
     "child_rng",
     "map_chunks",
 ]
@@ -239,24 +237,28 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
     return kept, B - kept.size
 
 
-def tstat_pushforward(x: np.ndarray, stats: SampleStats, wbar: float,
-                      n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """sqrt(n) g(Xbar + Vhat^{1/2} x / sqrt(n)) for points x of shape (m, 2).
+def tstat_pushforward(x: np.ndarray, stats: SampleStats
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """sqrt(n) g(Xbar + Vhat^{1/2} x / sqrt(n)) for points x of shape (m, 2),
+    with g centered at wbar = Xbar_1, the sample mean of the data (W, W^2)
+    that stats summarizes.
 
     Returns (values, valid); invalid points are those where the shifted
     second coordinate fails x2 > x1^2, reported so callers can count them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    shifted = stats.mean + x @ stats.root.T / sqrt(n)
+    rn = sqrt(stats.n)
+    shifted = stats.mean + x @ stats.root.T / rn
     var = shifted[:, 1] - shifted[:, 0] ** 2
     valid = var > 0
     vals = np.zeros(x.shape[0])
-    vals[valid] = sqrt(n) * (shifted[valid, 0] - wbar) / np.sqrt(var[valid])
+    vals[valid] = rn * (shifted[valid, 0] - stats.mean[0]) / np.sqrt(
+        var[valid])
     return vals, valid
 
 
 def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
-                          wbar: float, n: int, budget: int, seed: int,
+                          *, budget: int, seed: int,
                           stream_key: Tuple[int, ...] = ()
                           ) -> Tuple[np.ndarray, np.ndarray, int]:
     """MC estimate of the expansion measure of the t-statistic regions.
@@ -279,7 +281,7 @@ def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     def sums(ci):
         m = min(_MC_CHUNK, budget - ci * _MC_CHUNK)
         z = child_rng(seed, *stream_key, ci).standard_normal((m, 2))
-        u, valid = tstat_pushforward(z, stats, wbar, n)
+        u, valid = tstat_pushforward(z, stats)
         u[~valid] = np.inf
         order = np.argsort(u)
         w = np.where(valid, e.weight(z), 0.0)[order]
@@ -294,8 +296,7 @@ def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     return values, np.sqrt(var), sum(k for _, k in parts)
 
 
-def edgeworth_tstat_exact(t_grid, e: EdgeworthExpansion, stats: SampleStats,
-                          wbar: float, n: int
+def edgeworth_tstat_exact(t_grid, e: EdgeworthExpansion, stats: SampleStats
                           ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Expansion measure of the t-statistic regions {u <= t}, by quadrature.
 
@@ -306,7 +307,7 @@ def edgeworth_tstat_exact(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     Monte Carlo error; nothing is random.
     """
     (values, coarse), singular = _tstat_quadrature(
-        np.asarray(t_grid, dtype=float), e, stats, wbar, n,
+        np.asarray(t_grid, dtype=float), e, stats,
         (_GL_NODES, _GL_NODES // 2))
     return values, np.abs(values - coarse), singular
 
@@ -319,23 +320,22 @@ def _quadratic_roots(c2, c1, c0) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
-                      stats: SampleStats, wbar: float, n: int,
-                      rules: Sequence[int]
+                      stats: SampleStats, rules: Sequence[int]
                       ) -> Tuple[List[np.ndarray], float]:
     """The measures of {u <= t} on the grid, one array per Gauss-Legendre
     rule in rules (its node count per piece of the p-integral), and the
     measure of the singular set by the first rule.
 
     Write z = p e_p + q e_q, with e_p along the first row s1 of
-    S = Vhat^{1/2} and beta = s2.e_q > 0.  The statistic's mean shift is
-    then a = sqrt(n)(mu1 - wbar) + |s1| p, and its variance is
+    S = Vhat^{1/2} and beta = s2.e_q > 0.  The statistic is centered at
+    wbar = mu1, so its mean shift is a = |s1| p, and its variance is
     beta (q - q0(p)) / sqrt(n) with q0 quadratic in p; so for each p the
     region {u <= t} is one q-interval, with q0 and
     qa = q0 + (a/t)^2 sqrt(n)/beta as its ends, and the singular set is
     q <= q0.  Tensor Hermite polynomials rotate like monomials, so the
     rotated tables give the q-integral exactly (_hermite_interval).  The
-    p-integral over [-12, 12] is split where a = 0, whose side changes
-    the interval, and where q0 or qa crosses +-12: there an end sweeps
+    p-integral over [-12, 12] is split at p = 0, where a changes sign and
+    so the interval, and where q0 or qa crosses +-12: there an end sweeps
     across the Gaussian bulk within a p-width of about |t|.  The rotation,
     the rotated table and the breakpoints are shared by the rules.
     """
@@ -352,9 +352,8 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
     for j, tab in e.hermite_coeffs.items():
         for (k1, k2), c in _series_substitute_linear(tab, Q, K).items():
             C[k1, k2] += e.n ** (-j / 2.0) * c
-    rn = sqrt(n)
+    rn = sqrt(stats.n)
     mu1, mu2 = (float(v) for v in stats.mean)
-    a0 = rn * (mu1 - wbar)
     A0 = -(mu2 - mu1 * mu1) * rn / beta
     A1 = -(float(S[1] @ e_p) - 2.0 * mu1 * r1) / beta
     A2 = r1 * r1 / (rn * beta)
@@ -395,16 +394,14 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
         with np.errstate(divide="ignore", invalid="ignore"):
             k = rn / (beta * t * t)
             qa_edges = [r for c0 in (A0 - _EDGE, A0 + _EDGE)
-                        for r in _quadratic_roots(A2 + k * r1 * r1,
-                                                  A1 + 2.0 * k * a0 * r1,
-                                                  c0 + k * a0 * a0)]
+                        for r in _quadratic_roots(A2 + k * r1 * r1, A1, c0)]
         edges = np.column_stack(
             [np.broadcast_to(v, t.shape)
-             for v in [-_EDGE, _EDGE, -a0 / r1] + q0_edges] + qa_edges)
+             for v in [-_EDGE, _EDGE, 0.0] + q0_edges] + qa_edges)
 
         def interval(row, p, q0):
             tt = t[row]
-            a = a0 + r1 * p
+            a = r1 * p
             with np.errstate(divide="ignore", invalid="ignore"):
                 qa = q0 + (a / tt) ** 2 * (rn / beta)
             lo = np.where((tt > 0) & (a > 0), qa, q0)
@@ -421,31 +418,3 @@ def _tstat_quadrature(t_grid: np.ndarray, e: EdgeworthExpansion,
         np.array([[-_EDGE, _EDGE] + q0_edges]),
         lambda row, p, q0: (np.full_like(q0, -np.inf), q0), gl[:1])
     return values, float(singular[0])
-
-
-def sup_deviation(members: Sequence, q_emp: Callable, q_tilde: Callable
-                  ) -> Tuple[float, List[dict]]:
-    """Max absolute deviation between two evaluators over a member class."""
-    if len(members) == 0:
-        raise ValueError("empty member class")
-    records = []
-    best = 0.0
-    for m in members:
-        a, b = float(q_emp(m)), float(q_tilde(m))
-        dev = abs(a - b)
-        records.append({"member": m, "q_emp": a, "q_tilde": b,
-                        "abs_dev": dev})
-        best = max(best, dev)
-    return best, records
-
-
-def enlargement_deviation(A: SetSpec, eta: float, draws: np.ndarray) -> float:
-    """Empirical mass gained by enlarging A by eta, under the given draws."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    base = float(A.contains(draws).mean())
-    grown = float(A.enlarged(eta).contains(draws).mean())
-    return grown - base

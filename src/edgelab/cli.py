@@ -178,27 +178,26 @@ def _write_comparison(path: str, key: str, labels, q_emp, q_tilde,
 # subcommands
 
 def _scan(args):
-    pts = _load_points(args.data)
-    h = cramer.CharFunctionHandle.from_points(pts)
-    return pts, cramer.weak_cramer_scan(
+    h = cramer.CharFunctionHandle.from_points(_load_points(args.data))
+    return h, cramer.weak_cramer_scan(
         h, b=args.b, R=args.R, T_max=args.Tmax, n_radii=args.grid_radii,
         n_dirs=args.grid_dirs, c=args.c)
 
 
 def cmd_cf_scan(args) -> int:
-    pts, cert = _scan(args)
+    h, cert = _scan(args)
     payload = cert.to_json_dict()
     if args.cR is not None:
         payload["prob_bound"] = cramer.failure_prob_bound(args.cR,
-                                                          pts.shape[0])
+                                                          h.points.shape[0])
     _print_json(payload)
     return 0
 
 
 def cmd_certify(args) -> int:
-    pts, cert = _scan(args)
+    h, cert = _scan(args)
     # pairwise route: wrapped-square bound at the worst scanned frequency
-    S, record = cramer.ustat_certificate(pts, np.asarray(cert.witness),
+    S, record = cramer.ustat_certificate(h, np.asarray(cert.witness),
                                          args.b, args.R)
     cert.S_value = S
     if (cert.status == "certified-on-grid" and args.c is not None
@@ -207,9 +206,9 @@ def cmd_certify(args) -> int:
     cR = args.cR
     if cR is None:
         t_grid = np.asarray([e["t"] for e in cert.evidence])
-        cR, _ = cramer.c_r_lower_bound(pts, args.R, t_grid)
+        cR, _ = cramer.c_r_lower_bound(h.points, args.R, t_grid)
     if cR > 0:
-        cert.prob_bound = cramer.failure_prob_bound(cR, pts.shape[0])
+        cert.prob_bound = cramer.failure_prob_bound(cR, h.points.shape[0])
     payload = cert.to_json_dict()
     payload["ustat_record"] = record
     payload["c_R"] = cR
@@ -238,7 +237,7 @@ def cmd_bootstrap_compare(args) -> int:
     if args.sets:
         labels = [json.dumps(o) for o in specs]
         q_emp = [A.contains(draws).mean() for A in sets]
-        q_tilde = [set_measure(e, A).value for A in sets]
+        q_tilde = [set_measure(e, A) for A in sets]
     else:
         grid = default_t_grid()
         labels = ["t=%g" % t for t in grid]
@@ -269,8 +268,7 @@ def cmd_tstat_study(args) -> int:
     q_emp = ecdf_on_grid(tstats, tgrid)
     stats = bl.sample_stats(np.stack([w, w ** 2], axis=1))
     e = bl.empirical_edgeworth(stats, args.s)
-    q_tilde, errs, singular = bl.edgeworth_tstat_exact(
-        tgrid, e, stats, float(w.mean()), args.n)
+    q_tilde, errs, singular = bl.edgeworth_tstat_exact(tgrid, e, stats)
     out_dir = _out_dir(args.out)
     csv_path = os.path.join(out_dir, "tstat_study.csv")
     sup = _write_comparison(csv_path, "t", [repr(float(t)) for t in tgrid],

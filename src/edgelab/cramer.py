@@ -343,18 +343,21 @@ def _pairwise_xi_mean(atoms: np.ndarray, w: np.ndarray, n: int,
     return out * (n / (n - 1))
 
 
-def ustat_certificate(points, t, b: float, R: float) -> Tuple[float, dict]:
-    """Pairwise U-statistic S(t) lower-bounding 1 - |empirical cf(t)|.
+def ustat_certificate(h: CharFunctionHandle, t, b: float, R: float
+                      ) -> Tuple[float, dict]:
+    """Pairwise U-statistic S(t) lower-bounding 1 - |empirical cf(t)| for
+    the empirical handle h, from its atom table.
 
     Returns S(t) and a record asserting the inequality, plus the implied
     weak Cramer margin S(t) ||t||^b for the scanned frequency.
     """
-    pts = as_points(points)
-    n = pts.shape[0]
+    if h.points is None:
+        raise ValueError("the pairwise certificate needs an empirical "
+                         "handle (points=)")
+    n = h.points.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    h = CharFunctionHandle.from_points(pts)
     S = float(_pairwise_xi_mean(h.atoms, h.weights, n, t[None, :])[0]
               / math.pi ** 2)
     lhs = 1.0 - abs(eval_cf(h, t))

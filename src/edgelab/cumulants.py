@@ -16,7 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .jets import MultiIndex, series_exp, series_log1p, series_mul
+from .jets import MultiIndex, series_log1p, series_mul
 
 __all__ = [
     "MultiIndex",
@@ -27,7 +27,6 @@ __all__ = [
     "as_points",
     "raw_moments_from_points",
     "moments_to_cumulants",
-    "cumulants_to_moments",
     "averaged_standardized_cumulants",
     "chi_poly",
     "inv_sqrt_spd",
@@ -166,16 +165,6 @@ def moments_to_cumulants(m: MomentSet) -> CumulantSet:
              for nu in enumerate_multi_indices(d, s) if sum(nu)}
     c = CumulantSet(d, s, table)
     return CumulantSet(d, s, table, standardized=_is_float_standardized(c))
-
-
-def cumulants_to_moments(c: CumulantSet) -> MomentSet:
-    """Inverse of :func:`moments_to_cumulants` (exp of the cumulant series)."""
-    d, s = c.dimension, c.max_order
-    u = {nu: c.table[nu] / multi_factorial(nu) for nu in c.table}
-    em = series_exp(u, s)
-    table = {nu: em.get(nu, 0) * multi_factorial(nu)
-             for nu in enumerate_multi_indices(d, s)}
-    return MomentSet(d, s, table)
 
 
 def _is_float_standardized(c: CumulantSet) -> bool:

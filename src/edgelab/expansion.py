@@ -22,12 +22,10 @@ from .jets import series_mul
 
 __all__ = [
     "pj_polynomial",
-    "hermite_value",
-    "hermite_tensor",
     "EdgeworthExpansion",
     "build_expansion",
     "SetSpec",
-    "MeasureResult",
+    "set_measure",
 ]
 
 
@@ -45,21 +43,6 @@ def _hermite_column(max_k: int, x) -> np.ndarray:
     for m in range(1, max_k):
         out[m + 1] = x * out[m] - m * out[m - 1]
     return out
-
-
-def hermite_value(k: int, x):
-    """He_k(x), a float for scalar x."""
-    val = _hermite_column(k, x)[k]
-    return val if val.ndim else float(val)
-
-
-def hermite_tensor(nu: MultiIndex, x) -> float:
-    """Product over coordinates of He_{nu_k}(x_k)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = 1.0
-    for k, p in enumerate(nu):
-        val *= hermite_value(p, x[k])
-    return float(val)
 
 
 def _basis_1d(k: int) -> Dict[int, float]:
@@ -173,12 +156,6 @@ class EdgeworthExpansion:
                          [_hermite_column(K, x[:, k])
                           for k in range(self.dimension)])
 
-    def density(self, x) -> float:
-        """Signed density at a single point (may be negative)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phi = np.exp(-0.5 * float(x @ x)) / (2 * pi) ** (self.dimension / 2)
-        return float(self.weight(x[None, :])[0] * phi)
-
     def cdf_1d(self, t):
         """One-dimensional CDF at t (a scalar or an array): the measure of
         (-inf, t]."""
@@ -201,16 +178,6 @@ class EdgeworthExpansion:
                                                        key=_glex_key)]}
                         for j, tab in sorted(self.hermite_coeffs.items())],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EdgeworthExpansion":
-        d, s, n = obj["d"], obj["s"], obj["n"]
-        table = {tuple(nu): v for nu, v in obj["cumulants"]}
-        cums = CumulantSet(d, s, table)
-        cums = CumulantSet(d, s, table, standardized=cums.check_standardized())
-        hc = {blk["j"]: {tuple(nu): c for nu, c in blk["terms"]}
-              for blk in obj["hermite"]}
-        return cls(d, s, n, cums, hc)
 
 
 def _glex_key(item):
@@ -272,10 +239,6 @@ class SetSpec:
                        high=tuple(float(v) for v in high))
 
     @staticmethod
-    def full_space(d: int) -> "SetSpec":
-        return SetSpec.box([-inf] * d, [inf] * d)
-
-    @staticmethod
     def ball(center: Sequence[float], radius: float) -> "SetSpec":
         return SetSpec("ball", center=tuple(float(v) for v in center),
                        radius=float(radius))
@@ -306,34 +269,6 @@ class SetSpec:
             return dist2 <= self.radius ** 2
         a = np.asarray(self.normal)
         return x @ a <= self.offset
-
-    def enlarged(self, eta: float) -> "SetSpec":
-        """Grow (eta > 0) or shrink (eta < 0) the region.
-
-        Boxes pad per axis (sup-norm convention); balls change radius;
-        half-lines and half-spaces shift the boundary along the normal.
-        """
-        if self.kind == "halfline":
-            return SetSpec.halfline(self.threshold + eta)
-        if self.kind == "box":
-            lo = [l - eta for l in self.low]
-            hi = [h + eta for h in self.high]
-            if any(l > h for l, h in zip(lo, hi)):   # shrunk to nothing
-                mid = [(l + h) / 2 for l, h in zip(self.low, self.high)]
-                return SetSpec.box(mid, mid)
-            return SetSpec.box(lo, hi)
-        if self.kind == "ball":
-            return SetSpec.ball(self.center, max(self.radius + eta, 0.0))
-        a = np.asarray(self.normal)
-        return SetSpec.halfspace(self.normal,
-                                 self.offset + eta * float(np.linalg.norm(a)))
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    value: float
-    error: float
-    method: str
 
 
 _TEMME_ROWS = [np.array(row) for row in _temme.D]
@@ -583,40 +518,19 @@ def _projected_tables(e: EdgeworthExpansion, u: np.ndarray
     return projected
 
 
-def set_measure(e: EdgeworthExpansion, A: SetSpec, method: str = "quadrature",
-                budget: int = 200_000,
-                rng: Optional[np.random.Generator] = None) -> MeasureResult:
-    """Signed measure of a region under the expansion.
-
-    ``quadrature`` uses exact Hermite antiderivatives (boxes, half-lines,
-    half-spaces, centered balls); ``mc`` uses Gaussian importance sampling
-    with the Hermite-polynomial factor as weight and works for any region.
-    """
-    d = e.dimension
-    if method == "quadrature":
-        if A.kind == "halfline":
-            if d != 1:
-                raise ValueError("halfline regions require dimension 1")
-            return MeasureResult(e.cdf_1d(A.threshold), 1e-14, method)
-        if A.kind == "box":
-            return MeasureResult(float(_box_measure(e, A.low, A.high)),
-                                 1e-14, method)
-        if A.kind == "ball":
-            if all(c == 0 for c in A.center):
-                return MeasureResult(_centered_ball_measure(e, A.radius),
-                                     1e-13, method)
-            raise ValueError("quadrature supports centered balls only; "
-                             "use method='mc' for shifted balls")
-        return MeasureResult(_halfspace_measure(e, A.normal, A.offset),
-                             1e-13, method)
-    if method == "mc":
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        z = rng.standard_normal((budget, d))
-        vals = A.contains(z) * e.weight(z)
-        value = float(vals.mean())
-        err = float(vals.std(ddof=1) / sqrt(budget))
-        return MeasureResult(value, err, method)
-    raise ValueError("method must be 'quadrature' or 'mc'")
-
+def set_measure(e: EdgeworthExpansion, A: SetSpec) -> float:
+    """Signed measure of a region under the expansion, by exact Hermite
+    antiderivatives: half-lines (dimension 1), boxes, half-spaces and
+    balls centered at the origin."""
+    if A.kind == "halfline":
+        if e.dimension != 1:
+            raise ValueError("halfline regions require dimension 1")
+        return e.cdf_1d(A.threshold)
+    if A.kind == "box":
+        return float(_box_measure(e, A.low, A.high))
+    if A.kind == "ball":
+        if any(A.center):
+            raise ValueError("set_measure supports balls centered at the "
+                             "origin only")
+        return _centered_ball_measure(e, A.radius)
+    return _halfspace_measure(e, A.normal, A.offset)

@@ -351,18 +351,3 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
             raise ValueError("format must be 'csv' or 'json'")
     except OSError as exc:
         raise OSError("failed writing report to %s: %s" % (path, exc)) from exc
-
-
-def parse_report_csv(path: str) -> List[StudyRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER.split(","):
-            raise ValueError("unexpected report header in %s" % path)
-        for row in reader:
-            fam, theta, n, rep, s, metric, value, mc_se, flag, seed = row
-            records.append(StudyRecord(fam, theta, int(n), int(rep), int(s),
-                                       metric, float(value), float(mc_se),
-                                       flag, int(seed)))
-    return records

@@ -3,23 +3,22 @@
 A series is a plain ``{multi-index: coefficient}`` table meaning
 sum_nu a_nu t^nu, truncated at a total order.  One truncated multiply and
 one power-sum composition serve every use: cumulants are the log of the
-moment series, moments the exp of the cumulant series, correction
-polynomials products of cumulant polynomials, and the derivative table of
-the studentized mean a product with a real power.  The arithmetic is
+moment series, correction polynomials products of cumulant polynomials,
+and the derivative table of the studentized mean a product with a real
+power.  The arithmetic is
 generic over the value type: floats in normal use, ``fractions.Fraction``
 when an exact result is wanted.
 """
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Callable, Dict, Tuple
 
 MultiIndex = Tuple[int, ...]
 Series = Dict[MultiIndex, object]
 
 __all__ = ["MultiIndex", "series_mul", "series_compose", "series_log1p",
-           "series_exp", "series_pow"]
+           "series_pow"]
 
 
 def series_mul(a: Series, b: Series, max_order: int) -> Series:
@@ -56,13 +55,6 @@ def series_log1p(u: Series, max_order: int) -> Series:
     """log(1 + u) for a series u with zero constant term."""
     return series_compose(u, max_order,
                           lambda k, c: (1 if k % 2 == 1 else -1) * c / k, {})
-
-
-def series_exp(u: Series, max_order: int) -> Series:
-    """exp(u) for a series u with zero constant term."""
-    d = len(next(iter(u))) if u else 1
-    return series_compose(u, max_order, lambda k, c: c / factorial(k),
-                          {(0,) * d: 1})
 
 
 def series_pow(a: Series, p: float, max_order: int) -> Series:

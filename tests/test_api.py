@@ -1,10 +1,12 @@
-"""Every exported name has a caller in the package, or a stated reason to
-stay.
+"""Every exported name, and every public method and dataclass field of an
+exported class, has a caller in the package, or a stated reason to stay.
 
-The scan reads ``src/edgelab/*.py`` with ``ast``: a name in a module's
+The scan reads ``src/edgelab/*.py`` with ``ast``.  A name in a module's
 ``__all__`` counts as used when some module loads it (as a bare name or
-as an attribute) outside the top-level definition that defines it.
-Imports and re-exports do not count.
+as an attribute) outside the top-level definition that defines it;
+imports and re-exports do not count.  A method or field counts as used
+when some module loads it as an attribute (``obj.name``) outside the
+method's own body, or names it in a string (``getattr(SetSpec, kind)``).
 """
 
 import ast
@@ -12,22 +14,28 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgelab"
 
-# Exported names that nothing in the package calls, and why they stay.
+# Exported names, and Class.member names, that nothing in the package
+# calls, and why they stay.
 KEPT = {
-    "cumulants_to_moments": "oracle: inverse of moments_to_cumulants, "
-                            "criterion 1's round trip",
-    "hermite_tensor": "oracle: tensor Hermite values for the expansion "
-                      "weight tests",
-    "sup_deviation": "oracle: class-wide deviation in the bootstrap tests",
-    "enlargement_deviation": "oracle: criterion 11's eta enlargement",
-    "edgeworth_tstat_curve": "oracle: criterion 10 and the quadrature's MC "
-                             "cross-check",
+    "edgeworth_tstat_curve": "tracer target, item 5",
+    "Family.sum_sample": "tracer target, item 5",
+    "Family.lattice": "ROADMAP item 6: a lattice sweep variant must "
+                      "report no-margin",
+    "SampleStats.cov": "the summary's Vhat, whose roots src reads; the "
+                       "tests check the roots against it",
+    "EventFlags.abs_moment": "the statistic that e0 thresholds",
+    "EventFlags.max_mixed_moment": "the statistic that e2 thresholds",
     "mean_weak_cramer_scan": "ROADMAP item 7: averaged scan for "
                              "non-identical units",
     "averaged_standardized_cumulants": "ROADMAP item 7: cumulants for "
                                        "non-identical units",
     "g_value_and_jet": "criterion 12's subject",
 }
+
+
+def _trees():
+    return [ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))]
 
 
 def _exports(tree):
@@ -55,12 +63,61 @@ def _used_names(tree):
 
 def _callerless():
     exported, used = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for tree in _trees():
         exported.update(_exports(tree))
         used.update(name for name, owner in _used_names(tree)
                     if name != owner)
     return exported - used
+
+
+def _members(tree):
+    """(Class.member, body or None) for each public method and annotated
+    field of the module's exported classes."""
+    exported = set(_exports(tree))
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in exported):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name, body = item.name, item
+            elif (isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)):
+                name, body = item.target.id, None
+            else:
+                continue
+            if not name.startswith("_"):
+                yield node.name + "." + name, body
+
+
+def _member_uses(tree):
+    """(name, node) for each attribute load, and each string constant
+    outside __all__, in the module."""
+    skip = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            skip.update(id(n) for n in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                          ast.Load):
+            yield node.attr, node
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            yield node.value, node
+
+
+def _callerless_members():
+    trees = _trees()
+    members = [m for tree in trees for m in _members(tree)]
+    uses = [u for tree in trees for u in _member_uses(tree)]
+    out = set()
+    for qualified, body in members:
+        name = qualified.split(".", 1)[1]
+        inside = {id(n) for n in ast.walk(body)} if body else set()
+        if not any(u == name and id(n) not in inside for u, n in uses):
+            out.add(qualified)
+    return out
 
 
 def test_every_export_has_a_caller_or_a_reason():
@@ -70,6 +127,13 @@ def test_every_export_has_a_caller_or_a_reason():
                          % sorted(orphans))
 
 
+def test_every_public_member_has_a_caller_or_a_reason():
+    orphans = _callerless_members() - set(KEPT)
+    assert not orphans, ("public methods or fields never used in src/: %s; "
+                         "call them, delete them or list them in KEPT with "
+                         "a reason" % sorted(orphans))
+
+
 def test_kept_names_are_still_callerless_exports():
     # a kept name that gained a caller, or was deleted, leaves KEPT
-    assert set(KEPT) <= _callerless()
+    assert set(KEPT) <= _callerless() | _callerless_members()

@@ -6,12 +6,12 @@ import pytest
 from edgelab import bootstrap
 from edgelab.bootstrap import (_BLOCK, bootstrap_draws, child_rng,
                                edgeworth_tstat_curve, edgeworth_tstat_exact,
-                               empirical_edgeworth,
-                               enlargement_deviation, event_checks,
-                               sample_stats, sup_deviation, tstat_bootstrap,
+                               empirical_edgeworth, event_checks,
+                               sample_stats, tstat_bootstrap,
                                tstat_pushforward)
 from edgelab.cumulants import inv_sqrt_spd
 from edgelab.expansion import SetSpec, set_measure
+from oracles import enlargement_deviation
 
 
 def skewed_sample(n, seed=0, d=1):
@@ -235,7 +235,7 @@ def test_tstat_pushforward_validity():
     data = np.stack([w, w * w], axis=1)
     st = sample_stats(data)
     x = np.array([[0.0, 0.0], [0.0, -200.0]])
-    vals, valid = tstat_pushforward(x, st, w.mean(), 200)
+    vals, valid = tstat_pushforward(x, st)
     assert valid[0] and not valid[1]
     # at x = 0 the pushforward is sqrt(n) g(xbar) = the sample t statistic
     tstat = np.sqrt(200) * (w.mean() - w.mean()) / w.std()
@@ -248,7 +248,7 @@ def test_fhat_indicator_monotone_in_t():
     data = np.stack([w, w * w], axis=1)
     st = sample_stats(data)
     x = np.array([[0.3, 0.1], [0.0, -50.0]])
-    u, valid = tstat_pushforward(x, st, w.mean(), 150)
+    u, valid = tstat_pushforward(x, st)
     vals = [int(valid[0] and u[0] <= t) for t in (-3.0, 0.0, 3.0)]
     assert vals == sorted(vals)
     assert int(valid[1] and u[1] <= 0.0) == 0
@@ -262,10 +262,10 @@ def test_tstat_curve_consistent_with_pointwise():
     e = empirical_edgeworth(st, 3)
     rng_state = 2718
     grid = np.array([-1.0, 0.0, 1.5])
-    vals, ses, sing = edgeworth_tstat_curve(grid, e, st, w.mean(), 300,
-                                            100_000, rng_state)
-    v0, s0, _ = edgeworth_tstat_curve(np.array([0.0]), e, st, w.mean(), 300,
-                                      100_000, rng_state)
+    vals, ses, sing = edgeworth_tstat_curve(grid, e, st, budget=100_000,
+                                            seed=rng_state)
+    v0, s0, _ = edgeworth_tstat_curve(np.array([0.0]), e, st, budget=100_000,
+                                      seed=rng_state)
     assert vals[1] == pytest.approx(v0[0], abs=1e-12)
     assert np.all(np.diff(vals) > 0)        # CDF-like on this grid
     assert np.all(ses > 0)
@@ -279,8 +279,8 @@ def test_tstat_curve_tracks_gaussian_for_gaussian_data():
     e = empirical_edgeworth(st, 3)
     from scipy.stats import norm
     grid = np.linspace(-2, 2, 9)
-    vals, ses, _ = edgeworth_tstat_curve(grid, e, st, w.mean(), 400,
-                                         400_000, 16)
+    vals, ses, _ = edgeworth_tstat_curve(grid, e, st, budget=400_000,
+                                         seed=16)
     assert np.max(np.abs(vals - norm.cdf(grid))) < 0.02
 
 
@@ -288,15 +288,15 @@ def _tstat_curve_setup(n, seed, s=3):
     w = skewed_sample(n, seed=seed)[:, 0]
     data = np.stack([w, w * w], axis=1)
     st = sample_stats(data)
-    return st, empirical_edgeworth(st, s), float(w.mean())
+    return st, empirical_edgeworth(st, s)
 
 
-def _whole_array_tstat_curve(t_grid, e, st, wbar, n, z):
+def _whole_array_tstat_curve(t_grid, e, st, z):
     """The curve as it was computed before chunking: one sort and one
     cumulative sum over all of z."""
     budget = z.shape[0]
     w = e.weight(z)
-    u, valid = tstat_pushforward(z, st, wbar, n)
+    u, valid = tstat_pushforward(z, st)
     w_eff = np.where(valid, w, 0.0)
     u_eff = np.where(valid, u, np.inf)
     order = np.argsort(u_eff)
@@ -314,27 +314,27 @@ def test_tstat_curve_matches_whole_array_reference():
     in another order than one cumulative sum, so the values agree to
     rounding (measured up to 4e-14 over 40 samples), not bit for bit."""
     n, budget, chunk = 20, 2 * bootstrap._MC_CHUNK + 5, bootstrap._MC_CHUNK
-    st, e, wbar = _tstat_curve_setup(n, seed=30)
+    st, e = _tstat_curve_setup(n, seed=30)
     z = np.concatenate([child_rng(8, 203, ci).standard_normal(
         (min(chunk, budget - ci * chunk), 2)) for ci in range(3)])
     grid = np.arange(-4.0, 4.025, 0.05)
-    vals, ses, sing = edgeworth_tstat_curve(grid, e, st, wbar, n, budget,
-                                            8, (203,))
-    ref_vals, ref_ses, ref_sing = _whole_array_tstat_curve(grid, e, st,
-                                                           wbar, n, z)
+    vals, ses, sing = edgeworth_tstat_curve(grid, e, st, budget=budget,
+                                            seed=8, stream_key=(203,))
+    ref_vals, ref_ses, ref_sing = _whole_array_tstat_curve(grid, e, st, z)
     assert sing == ref_sing > 0
     assert np.max(np.abs(vals - ref_vals)) < 1e-12
     assert np.max(np.abs(ses - ref_ses)) < 1e-12
 
 
 def test_tstat_curve_does_not_depend_on_workers(monkeypatch):
-    st, e, wbar = _tstat_curve_setup(20, seed=31)
+    st, e = _tstat_curve_setup(20, seed=31)
     grid = np.linspace(-3.0, 3.0, 25)
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
         runs.append(edgeworth_tstat_curve(
-            grid, e, st, wbar, 20, 3 * bootstrap._MC_CHUNK + 7, 9, (1, 2)))
+            grid, e, st, budget=3 * bootstrap._MC_CHUNK + 7, seed=9,
+            stream_key=(1, 2)))
     for vals, ses, sing in runs[1:]:
         assert np.array_equal(vals, runs[0][0])
         assert np.array_equal(ses, runs[0][1])
@@ -345,11 +345,11 @@ def test_tstat_curve_memory_does_not_grow_with_budget(monkeypatch):
     """At budget = 2^21 the whole-array curve allocated 208 MB; each of two
     threads now holds one chunk's points and temporaries (about 8 MB)."""
     monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
-    st, e, wbar = _tstat_curve_setup(300, seed=32)
+    st, e = _tstat_curve_setup(300, seed=32)
     tracemalloc.start()
     try:
-        edgeworth_tstat_curve(np.linspace(-4.0, 4.0, 161), e, st, wbar, 300,
-                              2 ** 21, 0)
+        edgeworth_tstat_curve(np.linspace(-4.0, 4.0, 161), e, st,
+                              budget=2 ** 21, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,9 +358,9 @@ def test_tstat_curve_memory_does_not_grow_with_budget(monkeypatch):
 
 @pytest.mark.parametrize("budget", [2.5, 0, -5])
 def test_tstat_curve_refuses_a_bad_budget(budget):
-    st, e, wbar = _tstat_curve_setup(50, seed=33)
+    st, e = _tstat_curve_setup(50, seed=33)
     with pytest.raises(ValueError, match="budget must be an integer >= 1"):
-        edgeworth_tstat_curve([0.0], e, st, wbar, 50, budget, 0)
+        edgeworth_tstat_curve([0.0], e, st, budget=budget, seed=0)
 
 
 # (n, seed, s): at n = 100 the singular set holds about 1e-3 of mass
@@ -370,10 +370,10 @@ _TGRID = np.arange(-4.0, 4.025, 0.05)
 
 @pytest.mark.parametrize("n,seed,s", _EXACT_CASES)
 def test_tstat_exact_agrees_with_a_doubled_rule(n, seed, s):
-    st, e, wbar = _tstat_curve_setup(n, seed, s)
-    vals, _, sing = edgeworth_tstat_exact(_TGRID, e, st, wbar, n)
+    st, e = _tstat_curve_setup(n, seed, s)
+    vals, _, sing = edgeworth_tstat_exact(_TGRID, e, st)
     (fine,), fine_sing = bootstrap._tstat_quadrature(
-        _TGRID, e, st, wbar, n, (2 * bootstrap._GL_NODES,))
+        _TGRID, e, st, (2 * bootstrap._GL_NODES,))
     assert np.max(np.abs(vals - fine)) < 1e-12
     assert abs(sing - fine_sing) < 1e-12
 
@@ -382,8 +382,8 @@ def test_tstat_exact_agrees_with_a_doubled_rule(n, seed, s):
 def test_tstat_exact_mass_adds_to_one(n, seed, s):
     """{u <= 1e6} and the singular set {x2 <= x1^2} split the plane up to
     the sliver u > 1e6, and the expansion's total mass is 1."""
-    st, e, wbar = _tstat_curve_setup(n, seed, s)
-    top, _, sing = edgeworth_tstat_exact([1e6], e, st, wbar, n)
+    st, e = _tstat_curve_setup(n, seed, s)
+    top, _, sing = edgeworth_tstat_exact([1e6], e, st)
     assert abs(top[0] + sing - 1.0) < 1e-12
 
 
@@ -391,24 +391,22 @@ def test_tstat_exact_mass_adds_to_one(n, seed, s):
 def test_tstat_exact_matches_monte_carlo(n, seed):
     """The importance-sample curve at 4e6 points is the oracle: within 4 of
     its standard errors at every grid point."""
-    st, e, wbar = _tstat_curve_setup(n, seed)
+    st, e = _tstat_curve_setup(n, seed)
     grid = np.arange(-4.0, 4.05, 0.1)
-    vals, _, sing = edgeworth_tstat_exact(grid, e, st, wbar, n)
-    mc, ses, _ = edgeworth_tstat_curve(grid, e, st, wbar, n, 4_000_000,
-                                       seed)
+    vals, _, sing = edgeworth_tstat_exact(grid, e, st)
+    mc, ses, _ = edgeworth_tstat_curve(grid, e, st, budget=4_000_000,
+                                       seed=seed)
     assert np.all(np.abs(vals - mc) < 4 * ses)
 
 
 def test_tstat_exact_at_zero_is_a_half_space():
-    """At t = 0 the region is {a <= 0} = {s1.z <= -sqrt(n)(mu1 - wbar)}
-    less its singular part, which is below 1e-12 here."""
+    """At t = 0 the region is {a <= 0} = {s1.z <= 0} less its singular
+    part, which is below 1e-12 here."""
     n = 400
-    st, e, wbar = _tstat_curve_setup(n, seed=45)
-    vals, _, sing = edgeworth_tstat_exact([0.0], e, st, wbar, n)
+    st, e = _tstat_curve_setup(n, seed=45)
+    vals, _, sing = edgeworth_tstat_exact([0.0], e, st)
     assert abs(sing) < 1e-12
-    s1 = st.root[0]
-    half = set_measure(e, SetSpec.halfspace(
-        s1, -np.sqrt(n) * (st.mean[0] - wbar))).value
+    half = set_measure(e, SetSpec.halfspace(st.root[0], 0.0))
     assert vals[0] == pytest.approx(half, abs=1e-12)
 
 
@@ -417,17 +415,16 @@ def test_tstat_exact_one_point_and_negative_grids():
     a one-point grid, a grid of negative t only and t = 0 read the same
     as on the full grid, across its 16-point blocks."""
     n = 100
-    st, e, wbar = _tstat_curve_setup(n, seed=46)
-    full, full_errs, sing = edgeworth_tstat_exact(_TGRID, e, st, wbar, n)
+    st, e = _tstat_curve_setup(n, seed=46)
+    full, full_errs, sing = edgeworth_tstat_exact(_TGRID, e, st)
     neg = _TGRID < 0
-    part, part_errs, part_sing = edgeworth_tstat_exact(_TGRID[neg], e, st,
-                                                       wbar, n)
+    part, part_errs, part_sing = edgeworth_tstat_exact(_TGRID[neg], e, st)
     assert np.allclose(part, full[neg], rtol=0, atol=1e-15)
     assert np.allclose(part_errs, full_errs[neg], rtol=0, atol=1e-15)
     assert part_sing == sing
     for t in (0.0, -2.5, 3.0):
         i = int(np.argmin(np.abs(_TGRID - t)))
-        one, _, _ = edgeworth_tstat_exact([_TGRID[i]], e, st, wbar, n)
+        one, _, _ = edgeworth_tstat_exact([_TGRID[i]], e, st)
         assert one.shape == (1,)
         assert one[0] == pytest.approx(full[i], abs=1e-15)
     assert np.all(np.diff(full) > 0)   # CDF-like on this grid
@@ -436,10 +433,10 @@ def test_tstat_exact_one_point_and_negative_grids():
 def test_tstat_exact_memory_does_not_grow_with_the_grid():
     """Blocks of 16 grid points keep the node arrays at about 1.6 MB on a
     161-point grid at s = 4; the whole grid at once allocates 11 MB."""
-    st, e, wbar = _tstat_curve_setup(400, seed=47, s=4)
+    st, e = _tstat_curve_setup(400, seed=47, s=4)
     tracemalloc.start()
     try:
-        edgeworth_tstat_exact(_TGRID, e, st, wbar, 400)
+        edgeworth_tstat_exact(_TGRID, e, st)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -447,15 +444,6 @@ def test_tstat_exact_memory_does_not_grow_with_the_grid():
 
 
 # -- deviations -------------------------------------------------------------
-
-def test_sup_deviation():
-    members = [SetSpec.halfline(t) for t in (-1.0, 0.0, 1.0)]
-    best, recs = sup_deviation(members, lambda A: 0.5, lambda A: 0.25)
-    assert best == pytest.approx(0.25)
-    assert len(recs) == 3
-    with pytest.raises(ValueError):
-        sup_deviation([], lambda A: 0, lambda A: 0)
-
 
 def test_enlargement_deviation_properties():
     draws = np.random.default_rng(17).standard_normal(100_000)

@@ -587,30 +587,46 @@ def test_csv_bad_row_names_its_file_line(tmp_path, capsys, text, message):
 
 
 def test_cli_does_not_import_scipy(tmp_path):
-    """scipy, sympy and mpmath are test dependencies only, and the Temme
-    table is committed, not derived: certify and rate-study run in a
-    fresh interpreter without loading any of them or the table's
-    generator."""
+    """scipy, sympy and mpmath are test dependencies only, the Temme
+    table is committed, not derived, and the test oracles live in
+    tests/: certify, rate-study, tstat-study, bootstrap-compare over a
+    box, a ball and a half-space, and expand from data run in a fresh
+    interpreter without loading any of them, the table's generator or
+    the oracles."""
     data = write_points(tmp_path / "pts.csv",
                         np.array([0.0, 1.0, math.sqrt(2.0)] * 20)[:, None])
+    data2 = write_points(tmp_path / "pts2.csv", np.random.default_rng(4)
+                         .exponential(size=(60, 2)) - 1.0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "family": "centered-exponential", "s": 3,
         "n_grid": [25, 50, 100, 200], "M": 2000, "seed": 0,
         "out": str(tmp_path / "out")}))
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([
+        {"kind": "box", "low": [-1.0, -0.5], "high": [1.0, 1.5]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.2},
+        {"kind": "halfspace", "normal": [1.0, -0.4], "offset": 0.2}]))
     script = """
 import sys
 import edgelab.cli
-for argv in (["certify", "--data", sys.argv[1], "--Tmax", "20",
+data, data2, cfg, sets, out = sys.argv[1:]
+for argv in (["certify", "--data", data, "--Tmax", "20",
               "--grid-radii", "32"],
-             ["rate-study", "--config", sys.argv[2]]):
+             ["rate-study", "--config", cfg],
+             ["tstat-study", "--n", "60", "--B", "2000",
+              "--tgrid=-1:1:0.5", "--out", out],
+             ["bootstrap-compare", "--data", data2, "--sets", sets,
+              "--B", "2000", "--out", out],
+             ["expand", "--data", data2, "--s", "3"]):
     assert edgelab.cli.main(argv) in (0, 2), argv
-for name in ("scipy", "sympy", "mpmath", "temme_table"):
+for name in ("scipy", "sympy", "mpmath", "temme_table", "oracles"):
     assert name not in sys.modules, name + " was imported"
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script, data, str(cfg)],
+    proc = subprocess.run([sys.executable, "-c", script, data, data2,
+                           str(cfg), str(sets), str(tmp_path / "o")],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

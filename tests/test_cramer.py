@@ -57,8 +57,9 @@ def test_one_dimensional_array_is_points_on_the_line():
     vals = np.array([0.1, 0.5, 0.9])
     h = CharFunctionHandle.from_points(vals)
     assert h.dimension == 1 and h.points.shape == (3, 1)
-    S_flat, _ = ustat_certificate(vals, [2.0], b=1.0, R=1.0)
-    S_col, _ = ustat_certificate(vals[:, None], [2.0], b=1.0, R=1.0)
+    S_flat, _ = ustat_certificate(h, [2.0], b=1.0, R=1.0)
+    S_col, _ = ustat_certificate(CharFunctionHandle.from_points(vals[:, None]),
+                                 [2.0], b=1.0, R=1.0)
     assert S_flat == S_col
 
 
@@ -469,15 +470,22 @@ def test_ustat_soundness_random():
         d = int(rng.integers(1, 3))
         pts = rng.normal(size=(n, d)) * rng.uniform(0.2, 3)
         t = rng.normal(size=d) * 3
-        S, rec = ustat_certificate(pts, t, b=1.0, R=1.0)
+        S, rec = ustat_certificate(CharFunctionHandle.from_points(pts), t,
+                                   b=1.0, R=1.0)
         assert rec["holds"]
         assert rec["one_minus_modulus"] >= S - 1e-12
+
+
+def test_ustat_needs_an_empirical_handle():
+    with pytest.raises(ValueError, match="empirical handle"):
+        ustat_certificate(gaussian_handle(), [2.0], b=1.0, R=1.0)
 
 
 def test_ustat_tight_for_antipodal_points():
     # two points pi apart: every cross pair wraps to the full pi^2
     pts = np.array([[0.0], [math.pi]])
-    S, rec = ustat_certificate(pts, [1.0], b=1.0, R=0.5)
+    S, rec = ustat_certificate(CharFunctionHandle.from_points(pts), [1.0],
+                               b=1.0, R=0.5)
     assert S == pytest.approx(1.0)
     assert rec["one_minus_modulus"] == pytest.approx(1.0)
 

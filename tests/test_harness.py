@@ -14,7 +14,8 @@ from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
                              dkw_halfwidth, ecdf_on_grid, emit_report,
                              exact_sum_cdf_mc, fit_loglog_slope,
-                             parse_report_csv, rate_study, uniform_sweep)
+                             rate_study, uniform_sweep)
+from oracles import parse_report_csv
 
 
 # -- families ---------------------------------------------------------------
