@@ -161,7 +161,7 @@ def empirical_edgeworth(stats: SampleStats, s: int) -> EdgeworthExpansion:
             table[nu] = 0.0
         elif o == 2:
             table[nu] = 1.0 if 2 in nu else 0.0
-    cums = CumulantSet(cums.dimension, s, table, standardized=True)
+    cums = CumulantSet(cums.dimension, s, table)
     return build_expansion(cums, stats.n, s)
 
 

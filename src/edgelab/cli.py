@@ -114,7 +114,8 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
     """The region of a --sets entry, refused, with the entry named, unless
     each key holds a number or, for a vector key, a list of numbers, the
     region is well formed, it lives in the data's dimension d (a
-    half-line in dimension 1) and a ball is centered at the origin."""
+    half-line (-inf, t] is a 1-d box) and a ball is centered at the
+    origin."""
     kind = _need(obj, "kind", where)
     if kind not in _SET_KEYS:
         raise ValueError("%s: unknown set kind %r" % (where, kind))
@@ -130,14 +131,13 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
         A = getattr(SetSpec, kind)(*fields)
     except ValueError as exc:       # bounds out of order, radius < 0, ...
         raise ValueError("%s: %s" % (where, exc)) from None
-    for key in _VECTOR_KEYS:
-        vec = getattr(A, key)
-        if vec is not None and len(vec) != d:
-            raise ValueError("%s: %s %r has dimension %d but the data have "
-                             "dimension %d" % (where, kind, key, len(vec), d))
-    if kind == "halfline" and d != 1:
-        raise ValueError("%s: a halfline has dimension 1 but the data have "
-                         "dimension %d" % (where, d))
+    if A.dimension != d:
+        if kind == "halfline":
+            raise ValueError("%s: a halfline has dimension 1 but the data "
+                             "have dimension %d" % (where, d))
+        raise ValueError("%s: %s %r has dimension %d but the data have "
+                         "dimension %d" % (where, kind, _SET_KEYS[kind][0],
+                                           A.dimension, d))
     if kind == "ball" and any(A.center):
         raise ValueError("%s: ball 'center' %r is not the origin; only "
                          "centered balls are supported"
@@ -296,7 +296,7 @@ def _run_config(args, name: str, required: str, run) -> int:
                     n_grid=_need(cfg, "n_grid", args.config),
                     M=cfg.get("M", 1_000_000), seed=cfg.get("seed", 0),
                     mode=cfg.get("mode", "analytic"), B=cfg.get("B"),
-                    reps=cfg.get("reps", 1), workers=cfg.get("workers", 1))
+                    reps=cfg.get("reps", 1))
     report = run(cfg, settings)
     out_dir = _out_dir(cfg.get("out"))
     emit_report(report, "csv", os.path.join(out_dir, name + ".csv"))
@@ -372,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bootstrap draws vs empirical expansion")
     resample_args(sp, 400)
     sp.add_argument("--data", default=None)
-    sp.add_argument("--sets", default=None, help="JSON file of set specs")
+    sp.add_argument("--sets", default=None,
+                    help="JSON file of set specs: box, ball, halfspace, or "
+                         "halfline (the box (-inf, t])")
     sp.add_argument("--rho-bar", type=float, default=100.0)
     sp.set_defaults(fn=cmd_bootstrap_compare)
 

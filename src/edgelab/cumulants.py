@@ -98,7 +98,6 @@ class CumulantSet:
     dimension: int
     max_order: int
     table: Dict[MultiIndex, object]
-    standardized: bool = False
 
     def __post_init__(self):
         _check_table(self.dimension, self.max_order, self.table, min_order=1)
@@ -163,15 +162,7 @@ def moments_to_cumulants(m: MomentSet) -> CumulantSet:
     logm = series_log1p(u, s)
     table = {nu: logm.get(nu, 0) * multi_factorial(nu)
              for nu in enumerate_multi_indices(d, s) if sum(nu)}
-    c = CumulantSet(d, s, table)
-    return CumulantSet(d, s, table, standardized=_is_float_standardized(c))
-
-
-def _is_float_standardized(c: CumulantSet) -> bool:
-    try:
-        return c.check_standardized()
-    except TypeError:  # exact-arithmetic values without abs ordering vs float
-        return False
+    return CumulantSet(d, s, table)
 
 
 def inv_sqrt_spd(V: np.ndarray) -> np.ndarray:
@@ -253,8 +244,7 @@ def averaged_standardized_cumulants(sources, s: int,
         if sum(nu) == 0:
             continue
         table[nu] = sum(c.table[nu] for c in per_unit) / len(per_unit)
-    out = CumulantSet(d, s, table)
-    return CumulantSet(d, s, table, standardized=out.check_standardized())
+    return CumulantSet(d, s, table)
 
 
 def chi_poly(j: int, c: CumulantSet) -> Dict[MultiIndex, object]:

@@ -192,7 +192,7 @@ def build_expansion(c: CumulantSet, n: int, s: int) -> EdgeworthExpansion:
                          % (c.max_order, s))
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not c.standardized and not c.check_standardized():
+    if not c.check_standardized():
         raise ValueError("cumulants must be standardized "
                          "(zero mean, identity second order)")
     d = c.dimension
@@ -207,21 +207,24 @@ def build_expansion(c: CumulantSet, n: int, s: int) -> EdgeworthExpansion:
 
 @dataclass(frozen=True)
 class SetSpec:
-    """Convex evaluation region: half-line, box, centered/offset ball, half-space."""
+    """Convex evaluation region: box, centered/offset ball, half-space."""
 
     kind: str
     low: Optional[Tuple[float, ...]] = None        # box
     high: Optional[Tuple[float, ...]] = None       # box
-    threshold: Optional[float] = None              # halfline upper endpoint
     center: Optional[Tuple[float, ...]] = None     # ball
     radius: Optional[float] = None                 # ball
     normal: Optional[Tuple[float, ...]] = None     # halfspace {a'x <= offset}
     offset: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("halfline", "box", "ball", "halfspace"):
+        if self.kind not in ("box", "ball", "halfspace"):
             raise ValueError("unknown set kind %r" % (self.kind,))
         if self.kind == "box":
+            if len(self.low) != len(self.high):
+                raise ValueError("box bounds low and high must have the "
+                                 "same length, not %d and %d"
+                                 % (len(self.low), len(self.high)))
             if any(l > h for l, h in zip(self.low, self.high)):
                 raise ValueError("box bounds must satisfy low <= high")
         if self.kind == "ball" and self.radius < 0:
@@ -229,9 +232,16 @@ class SetSpec:
         if self.kind == "halfspace" and not any(self.normal):
             raise ValueError("half-space normal must be nonzero")
 
+    @property
+    def dimension(self) -> int:
+        """The dimension of the space the region lies in."""
+        return len({"box": self.low, "ball": self.center,
+                    "halfspace": self.normal}[self.kind])
+
     @staticmethod
     def halfline(t: float) -> "SetSpec":
-        return SetSpec("halfline", threshold=float(t))
+        """The half-line (-inf, t], as a 1-d box."""
+        return SetSpec.box((-inf,), (t,))
 
     @staticmethod
     def box(low: Sequence[float], high: Sequence[float]) -> "SetSpec":
@@ -254,8 +264,6 @@ class SetSpec:
         are tested one coordinate at a time, on the columns of x; a ball's
         squared distance adds the coordinates first to last."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "halfline":
-            return x[:, 0] <= self.threshold
         if self.kind == "box":
             inside = np.ones(x.shape[0], dtype=bool)
             for col, lo, hi in zip(x.T, self.low, self.high):
@@ -519,13 +527,12 @@ def _projected_tables(e: EdgeworthExpansion, u: np.ndarray
 
 
 def set_measure(e: EdgeworthExpansion, A: SetSpec) -> float:
-    """Signed measure of a region under the expansion, by exact Hermite
-    antiderivatives: half-lines (dimension 1), boxes, half-spaces and
-    balls centered at the origin."""
-    if A.kind == "halfline":
-        if e.dimension != 1:
-            raise ValueError("halfline regions require dimension 1")
-        return e.cdf_1d(A.threshold)
+    """Signed measure of a region of the expansion's dimension, by exact
+    Hermite antiderivatives: boxes, half-spaces and balls centered at the
+    origin."""
+    if A.dimension != e.dimension:
+        raise ValueError("the region has dimension %d but the expansion has "
+                         "dimension %d" % (A.dimension, e.dimension))
     if A.kind == "box":
         return float(_box_measure(e, A.low, A.high))
     if A.kind == "ball":

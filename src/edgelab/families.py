@@ -53,7 +53,7 @@ class Family:
                 table[(2,)] = 1.0
             else:
                 table[(r,)] = self.cumulant_fn(r) / self.sd ** r
-        return CumulantSet(1, s, table, standardized=True)
+        return CumulantSet(1, s, table)
 
     def sum_cdf(self, n, x) -> np.ndarray:
         """Exact P((sum of n draws - n mean) / (sd sqrt n) <= x), elementwise

@@ -1,8 +1,8 @@
 """Monte Carlo experiment drivers: rate studies, uniform sweeps, reports.
 
 All randomness is derived from a single master seed via per-cell child
-streams keyed by (family, theta index, n, replication), so results are
-identical under any parallel schedule and any worker count.
+streams keyed by (family, theta index, n, replication), so results do not
+depend on how many threads the resampling inside a cell uses.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from math import log, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -197,7 +196,7 @@ def _checked_grid(n_grid: Sequence[int], reps) -> List[int]:
 
 def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
                seed: int, mode: str = "analytic", B: Optional[int] = None,
-               reps: int = 1, workers: int = 1) -> StudyReport:
+               reps: int = 1) -> StudyReport:
     """Sup-deviation metric across an n-grid, with the s=2 Gaussian baseline.
 
     analytic mode compares the empirical CDF of M standardized sums, drawn
@@ -207,9 +206,8 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
     mode compares bootstrap draws against the empirical-cumulant
     expansion.  Both evaluate on default_t_grid(), where the integrals of
     He_k phi up to each grid point, for every degree k the expansions
-    reach, are computed once for the study.  The (n, rep) cells run on a
-    pool of `workers` threads.  Fitted log-log slopes use non-flagged
-    records only.
+    reach, are computed once for the study.  The (n, rep) cells run in
+    order.  Fitted log-log slopes use non-flagged records only.
     """
     n_grid = _checked_grid(n_grid, reps)
     t_grid = default_t_grid()
@@ -220,27 +218,20 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         raise ValueError("bootstrap mode needs a resampling budget B")
     if mode == "analytic" and not _is_count(M):
         raise ValueError("M must be an integer >= 1, not %r" % (M,))
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     laws = (family.sum_cdf(np.array(n_grid)[:, None], t_grid)
             if mode == "analytic" else [None] * len(n_grid))
     # P_j has degree at most 3 j, and j < max(s_values) - 1
     basis = _hermite_interval(3 * (max(s_values) - 2), -math.inf, t_grid)
-    cells = [(n, rep, law) for n, law in zip(n_grid, laws)
-             for rep in range(reps)]
-    work = lambda cell: _cell(family, cell[0], cell[1], s_values, mode, M, B,
-                              t_grid, seed, basis, cell[2])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(work, cells))
-
     report = StudyReport(config={
         "driver": "rate_study", "family": family.name,
         "theta": family.theta, "s": s, "n_grid": n_grid, "M": M, "B": B,
         "reps": reps, "mode": mode, "seed": seed,
         "t_grid": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
     })
-    for recs in results:
-        report.records.extend(recs)
+    for n, law in zip(n_grid, laws):
+        for rep in range(reps):
+            report.records.extend(_cell(family, n, rep, s_values, mode, M, B,
+                                        t_grid, seed, basis, law))
     report.finalize()
     for sv in s_values:
         report.slopes["s=%d" % sv] = _fit([r for r in report.records
@@ -251,7 +242,7 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
 def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
                   M: int, seed: int, rho_cap: Optional[float] = None,
                   reps: int = 1, mode: str = "analytic",
-                  B: Optional[int] = None, workers: int = 1) -> StudyReport:
+                  B: Optional[int] = None) -> StudyReport:
     """Max-over-theta version of the rate study.
 
     Every family variant runs with the same derived seeds as a standalone
@@ -282,10 +273,9 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
         accepted.append(fam)
     if not accepted:
         raise ValueError("every variant exceeded the moment cap")
-    sub_reports = [rate_study(f, s, n_grid, M, seed, mode=mode, B=B,
-                              reps=reps, workers=workers) for f in accepted]
-    for sub in sub_reports:
-        report.records.extend(sub.records)
+    for f in accepted:
+        report.records.extend(rate_study(f, s, n_grid, M, seed, mode=mode,
+                                         B=B, reps=reps).records)
     for sv in sorted({2, s}):
         per_n = []
         for n in n_grid:

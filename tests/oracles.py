@@ -62,11 +62,9 @@ def from_json_dict(obj: dict) -> EdgeworthExpansion:
     """The expansion that EdgeworthExpansion.to_json_dict wrote as obj."""
     d, s, n = obj["d"], obj["s"], obj["n"]
     table = {tuple(nu): v for nu, v in obj["cumulants"]}
-    cums = CumulantSet(d, s, table)
-    cums = CumulantSet(d, s, table, standardized=cums.check_standardized())
     hc = {blk["j"]: {tuple(nu): c for nu, c in blk["terms"]}
           for blk in obj["hermite"]}
-    return EdgeworthExpansion(d, s, n, cums, hc)
+    return EdgeworthExpansion(d, s, n, CumulantSet(d, s, table), hc)
 
 
 # -- regions -----------------------------------------------------------------
@@ -79,11 +77,10 @@ def full_space(d: int) -> SetSpec:
 def enlarged(A: SetSpec, eta: float) -> SetSpec:
     """A grown (eta > 0) or shrunk (eta < 0).
 
-    Boxes pad per axis (sup-norm convention); balls change radius;
-    half-lines and half-spaces shift the boundary along the normal.
+    Boxes pad per axis (sup-norm convention), so a half-line box moves its
+    finite end; balls change radius; half-spaces shift the boundary along
+    the normal.
     """
-    if A.kind == "halfline":
-        return SetSpec.halfline(A.threshold + eta)
     if A.kind == "box":
         lo = [l - eta for l in A.low]
         hi = [h + eta for h in A.high]

@@ -48,7 +48,7 @@ def standardized_random_cumulants(d, s, rng, scale=0.35):
             table[nu] = 1.0 if 2 in nu else 0.0
         else:
             table[nu] = float(rng.normal(scale=scale))
-    return CumulantSet(d, s, table, standardized=True)
+    return CumulantSet(d, s, table)
 
 
 def test_criterion_01_cumulant_round_trip():
@@ -88,7 +88,7 @@ def test_criterion_02_pj_structure():
                 table[nu] = Fraction(1) if 2 in nu else Fraction(0)
             else:
                 table[nu] = Fraction(int(rng.integers(-9, 9)), 4)
-        c = CumulantSet(d, j_max + 2, table, standardized=True)
+        c = CumulantSet(d, j_max + 2, table)
 
         u = sympy.Symbol("u")
         z = sympy.symbols("z0:%d" % d)
@@ -332,28 +332,27 @@ def test_criterion_12_jet_correctness():
            "order <= 4)" % worst)
 
 
-def test_criterion_13_determinism(tmp_path):
+def test_criterion_13_determinism(tmp_path, monkeypatch):
+    from edgelab import bootstrap
     from edgelab.cli import main
     cfg = {"family": "centered-exponential", "s": 3,
-           "n_grid": [25, 50, 100, 200], "M": 50_000, "seed": 0,
-           "out": str(tmp_path / "a")}
+           "n_grid": [25, 50, 100, 200], "M": 50_000, "seed": 0}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    main(["rate-study", "--config", str(cfg_path)])
-    first = (tmp_path / "a" / "rate_study.csv").read_bytes()
 
-    cfg["out"] = str(tmp_path / "b")
-    cfg_path.write_text(json.dumps(cfg))
-    main(["rate-study", "--config", str(cfg_path)])
-    second = (tmp_path / "b" / "rate_study.csv").read_bytes()
+    def run(out, **extra):
+        cfg_path.write_text(json.dumps(dict(cfg, out=str(tmp_path / out),
+                                            **extra)))
+        main(["rate-study", "--config", str(cfg_path)])
+        return (tmp_path / out / "rate_study.csv").read_bytes()
 
-    cfg["out"] = str(tmp_path / "c")
-    cfg["workers"] = 4
-    cfg_path.write_text(json.dumps(cfg))
-    main(["rate-study", "--config", str(cfg_path)])
-    third = (tmp_path / "c" / "rate_study.csv").read_bytes()
+    first, second = run("a"), run("b")
+    # bootstrap cells resample over two chunks, on one and on four CPUs
+    resampled = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        resampled.append(run("cpus%d" % cpus, mode="bootstrap", B=16389))
 
-    ok = first == second and first == third
+    ok = first == second and resampled[0] == resampled[1]
     report(13, "byte-identical determinism", ok,
-           "re-run identical: %s; workers=4 identical: %s"
-           % (first == second, first == third))
+           "re-run identical: %s; 1 vs 4 CPUs identical: %s"
+           % (first == second, resampled[0] == resampled[1]))

@@ -182,7 +182,7 @@ def test_empirical_edgeworth_pins_low_orders():
     data = skewed_sample(100, seed=6, d=2)
     e = empirical_edgeworth(sample_stats(data), 4)
     c = e.cumulants
-    assert c.standardized
+    assert c.check_standardized()
     assert c[(1, 0)] == 0.0 and c[(0, 1)] == 0.0
     assert c[(2, 0)] == 1.0 and c[(1, 1)] == 0.0 and c[(0, 2)] == 1.0
 

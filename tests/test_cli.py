@@ -236,7 +236,7 @@ def test_resampling_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
         assert outputs[0] == outputs[1]
 
 
-def test_rate_study_cli_and_determinism(tmp_path, capsys):
+def test_rate_study_cli_and_determinism(tmp_path, capsys, monkeypatch):
     cfg = {"family": "centered-exponential", "s": 3,
            "n_grid": [25, 50, 100, 200], "M": 20000, "seed": 0,
            "out": str(tmp_path / "run1")}
@@ -247,8 +247,8 @@ def test_rate_study_cli_and_determinism(tmp_path, capsys):
     first = (tmp_path / "run1" / "rate_study.csv").read_bytes()
 
     cfg["out"] = str(tmp_path / "run2")
-    cfg["workers"] = 4
     cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 4)
     rc = main(["rate-study", "--config", str(cfg_path)])
     assert rc == 0
     second = (tmp_path / "run2" / "rate_study.csv").read_bytes()

@@ -148,7 +148,7 @@ def test_averaged_standardized_cumulants_identity():
     V = sum(np.array([[c[(2, 0)], c[(1, 1)]], [c[(1, 1)], c[(0, 2)]]])
             for c in sources) / len(sources)
     avg = averaged_standardized_cumulants(sources, 3, V)
-    assert avg.standardized
+    assert avg.check_standardized()
     assert avg[(1, 0)] == pytest.approx(0.0, abs=1e-12)
     assert avg[(0, 1)] == pytest.approx(0.0, abs=1e-12)
     assert avg[(2, 0)] == pytest.approx(1.0, rel=1e-10)
@@ -158,7 +158,7 @@ def test_averaged_standardized_cumulants_identity():
 
 def test_chi_poly_coefficients():
     table = {(1,): 0.0, (2,): 1.0, (3,): 0.7}
-    c = CumulantSet(1, 3, table, standardized=True)
+    c = CumulantSet(1, 3, table)
     p = chi_poly(3, c)
     # chi_3(z) = 3! * (chi_(3,) / 3!) z^3
     assert p == {(3,): pytest.approx(0.7)}

@@ -35,7 +35,7 @@ def standardized_cumulants(d, s, rng, scale=0.4):
             table[nu] = 1.0 if 2 in nu else 0.0
         else:
             table[nu] = float(rng.normal(scale=scale))
-    return CumulantSet(d, s, table, standardized=True)
+    return CumulantSet(d, s, table)
 
 
 # -- Hermite polynomials ----------------------------------------------------
@@ -73,7 +73,7 @@ def test_p1_p2_exact_univariate():
     """Hand-derived skewness/kurtosis terms, exact rational arithmetic."""
     k3, k4 = Fraction(7, 5), Fraction(-3, 4)
     table = {(1,): Fraction(0), (2,): Fraction(1), (3,): k3, (4,): k4}
-    c = CumulantSet(1, 4, table, standardized=True)
+    c = CumulantSet(1, 4, table)
     p1 = pj_polynomial(1, c)
     assert p1 == {(3,): k3 / 6}
     p2 = pj_polynomial(2, c)
@@ -114,7 +114,7 @@ def test_pj_symbolic_series_oracle():
             table[nu] = Fraction(1) if 2 in nu else Fraction(0)
         else:
             table[nu] = Fraction(int(rng.integers(-9, 9)), 4)
-    c = CumulantSet(d, j_max + 2, table, standardized=True)
+    c = CumulantSet(d, j_max + 2, table)
 
     u = sympy.Symbol("u")
     z = sympy.symbols("z0 z1")
@@ -234,7 +234,7 @@ def test_total_mass_is_one():
 def test_skewness_shifts_mass_correctly():
     # positive kappa_3 lightens the left tail relative to the Gaussian
     table = {(1,): 0.0, (2,): 1.0, (3,): 1.5}
-    e = build_expansion(CumulantSet(1, 3, table, standardized=True), 50, 3)
+    e = build_expansion(CumulantSet(1, 3, table), 50, 3)
     # He_2(-2) > 0, so the skewness term subtracts mass at t = -2
     assert e.cdf_1d(-2.0) < norm.cdf(-2.0)
 
@@ -255,7 +255,7 @@ def test_weight_matches_pointwise_hermite_sum(d, s, n, seed):
 
 def test_weight_reduces_to_one_for_gaussian():
     table = {(1,): 0.0, (2,): 1.0, (3,): 0.0, (4,): 0.0}
-    e = build_expansion(CumulantSet(1, 4, table, standardized=True), 10, 4)
+    e = build_expansion(CumulantSet(1, 4, table), 10, 4)
     x = np.linspace(-3, 3, 7)[:, None]
     assert np.allclose(e.weight(x), 1.0)
 
@@ -544,11 +544,39 @@ def test_box_vs_halfline_1d():
     b = np.array([np.inf, 0.4, -1.0, 0.0, np.inf, -np.inf])
     box = [set_measure(e, SetSpec.box([lo], [hi])) for lo, hi in zip(a, b)]
     assert np.allclose(box, e.cdf_1d(b) - e.cdf_1d(a), rtol=0, atol=1e-13)
-    # a half-line box is the CDF itself, bit for bit
+    # a half-line is the box (-inf, t], and its measure the CDF itself,
+    # bit for bit
     t = np.linspace(-6, 6, 25)
+    assert all(SetSpec.halfline(v) == SetSpec.box([-np.inf], [v]) for v in t)
     assert np.array_equal(
-        [set_measure(e, SetSpec.box([-np.inf], [v])) for v in t],
-        e.cdf_1d(t))
+        [set_measure(e, SetSpec.halfline(v)) for v in t], e.cdf_1d(t))
+
+
+@pytest.mark.parametrize("A, d", [
+    (SetSpec.box([-1.0, -1.0, -5.0], [1.0, 1.0, -4.0]), 3),
+    (SetSpec.box([-1.0], [1.0]), 1),
+    (SetSpec.halfline(0.0), 1),
+    (SetSpec.ball([0.0, 0.0, 0.0], 1.0), 3),
+    (SetSpec.ball([0.0], 1.0), 1),
+    (SetSpec.halfspace([1.0, 0.5, -0.3], 0.4), 3),
+    (SetSpec.halfspace([1.0], 0.4), 1),
+], ids=["box-3", "box-1", "halfline", "ball-3", "ball-1", "halfspace-3",
+        "halfspace-1"])
+def test_region_of_another_dimension_is_refused(A, d):
+    """A region whose dimension is not the expansion's gets no measure,
+    and the error names both dimensions."""
+    e = build_expansion(standardized_cumulants(2, 3,
+                                               np.random.default_rng(2)),
+                        200, 3)
+    assert A.dimension == d
+    with pytest.raises(ValueError, match="region has dimension %d but the "
+                       "expansion has dimension 2" % d):
+        set_measure(e, A)
+
+
+def test_box_bounds_of_different_lengths_are_refused():
+    with pytest.raises(ValueError, match="same length, not 2 and 1"):
+        SetSpec.box([-1.0, -1.0], [1.0])
 
 
 def _cdf_reference(e, t):
@@ -579,7 +607,7 @@ def test_cdf_1d_matches_hermite_e_reference(s, n, kappas, ts):
     table = {(1,): 0.0, (2,): 1.0}
     for r in range(3, s + 1):
         table[(r,)] = kappas[r - 3]
-    e = build_expansion(CumulantSet(1, s, table, standardized=True), n, s)
+    e = build_expansion(CumulantSet(1, s, table), n, s)
     grid = np.array(ts + [-np.inf, np.inf])
     got = e.cdf_1d(grid)
     assert got.shape == grid.shape
@@ -698,7 +726,7 @@ def test_halfspace_is_cdf_of_projected_cumulants(d, s, n, seed, a, offset):
         m = sum(nu)
         table[(m,)] += (factorial(m) / multi_factorial(nu)
                         * float(np.prod(u ** np.array(nu))) * k)
-    e1 = build_expansion(CumulantSet(1, s, table, standardized=True), n, s)
+    e1 = build_expansion(CumulantSet(1, s, table), n, s)
     got = set_measure(build_expansion(c, n, s), SetSpec.halfspace(a, offset))
     assert got == pytest.approx(e1.cdf_1d(offset / np.linalg.norm(a)),
                                 abs=1e-12)

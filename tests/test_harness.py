@@ -298,8 +298,6 @@ def test_rate_study_grid_validation():
     with pytest.raises(ValueError):
         rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0,
                    mode="bootstrap")  # needs B
-    with pytest.raises(ValueError, match="workers"):
-        rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0, workers=0)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -319,7 +317,7 @@ def test_rate_study_evaluates_its_gamma_laws_in_one_kernel_call(
         monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     rate_study(make_family("gamma", shape=0.7), 3, [25, 50, 100, 200, 400],
-               M=20_000, seed=0, reps=2, workers=3)
+               M=20_000, seed=0, reps=2)
     assert calls == [(5, 1)]
 
 
@@ -351,7 +349,7 @@ def test_rate_study_rows_are_each_n_law(monkeypatch, name):
         return draw(F, M, seed, stream_key)
     monkeypatch.setattr(harness, "exact_sum_cdf_mc", recorded)
     n_grid = [1, 7, 30, 64]
-    rate_study(fam, 3, n_grid, M=1000, seed=0, reps=2, workers=2)
+    rate_study(fam, 3, n_grid, M=1000, seed=0, reps=2)
     assert sorted(seen) == [(n, rep) for n in n_grid for rep in (0, 1)]
     for (n, rep), F in seen.items():
         assert np.array_equal(F, fam.sum_cdf(n, grid))
@@ -374,7 +372,7 @@ def test_rate_study_takes_one_hermite_basis(monkeypatch, mode):
     monkeypatch.setattr(harness, "_hermite_interval", counted)
     monkeypatch.setattr(EdgeworthExpansion, "cdf_1d", refused)
     rate_study(make_family("gamma", shape=0.7), 5, [25, 50, 100, 200],
-               M=2000, seed=0, mode=mode, B=500, reps=2, workers=2)
+               M=2000, seed=0, mode=mode, B=500, reps=2)
     assert degrees == [9]
 
 
@@ -409,40 +407,22 @@ def test_rate_study_bootstrap_mode():
     assert len(rep.records) == 8
 
 
-def test_rate_study_workers_agree(tmp_path):
-    fam = make_family("centered-exponential")
-    a = rate_study(fam, 3, [25, 50, 100, 200], M=20_000, seed=1, workers=1)
-    b = rate_study(fam, 3, [25, 50, 100, 200], M=20_000, seed=1, workers=4)
-    assert a.records == b.records
-    # nan-tolerant comparison for degenerate slope fits
-    assert json.dumps(a.slopes, sort_keys=True) == \
-        json.dumps(b.slopes, sort_keys=True)
-    # bootstrap cells over two chunks, resampled on threads inside the
-    # cells' own threads
-    reports = []
-    for workers in (1, 4):
-        rep = rate_study(fam, 3, [25, 50, 100, 200], M=0, seed=1,
-                         mode="bootstrap", B=16384 + 5, workers=workers)
-        emit_report(rep, "csv", str(tmp_path / "r.csv"))
-        emit_report(rep, "json", str(tmp_path / "r.json"))
-        reports.append(((tmp_path / "r.csv").read_bytes(),
-                        (tmp_path / "r.json").read_bytes()))
-    assert reports[0] == reports[1]
-
-
 def test_rate_study_reports_do_not_depend_on_cpus(tmp_path, monkeypatch):
-    """Analytic cells write the same bytes on one, two and three CPUs."""
+    """Analytic and bootstrap-mode studies write the same bytes on one,
+    two and three CPUs; bootstrap cells resample over two chunks, the
+    last one partial."""
     fam = make_family("centered-exponential")
-    reports = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
-        rep = rate_study(fam, 3, [25, 50, 100, 200],
-                         M=131_077, seed=1)
-        emit_report(rep, "csv", str(tmp_path / "r.csv"))
-        emit_report(rep, "json", str(tmp_path / "r.json"))
-        reports.append(((tmp_path / "r.csv").read_bytes(),
-                        (tmp_path / "r.json").read_bytes()))
-    assert reports[0] == reports[1] == reports[2]
+    for mode in ("analytic", "bootstrap"):
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+            rep = rate_study(fam, 3, [25, 50, 100, 200], M=131_077, seed=1,
+                             mode=mode, B=16384 + 5)
+            emit_report(rep, "csv", str(tmp_path / "r.csv"))
+            emit_report(rep, "json", str(tmp_path / "r.json"))
+            reports.append(((tmp_path / "r.csv").read_bytes(),
+                            (tmp_path / "r.json").read_bytes()))
+        assert reports[0] == reports[1] == reports[2]
 
 
 def test_rate_study_replications():
@@ -532,6 +512,6 @@ def test_csv_byte_identical_across_reruns(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_report(rate_study(fam, 3, [25, 50, 100, 200], M=5_000, seed=9),
                 "csv", str(p1))
-    emit_report(rate_study(fam, 3, [25, 50, 100, 200], M=5_000, seed=9,
-                           workers=3), "csv", str(p2))
+    emit_report(rate_study(fam, 3, [25, 50, 100, 200], M=5_000, seed=9),
+                "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
