@@ -407,6 +407,33 @@ def test_rate_study_bootstrap_mode():
     assert len(rep.records) == 8
 
 
+def test_rate_study_workers_agree(tmp_path, monkeypatch):
+    """Records and slopes do not depend on how many resampling workers
+    run; bootstrap cells resample over two chunks, the last one partial,
+    on one thread or on four."""
+    fam = make_family("centered-exponential")
+    studies = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        studies.append(rate_study(fam, 3, [25, 50, 100, 200], M=20_000,
+                                  seed=1))
+    a, b = studies
+    assert a.records == b.records
+    # nan-tolerant comparison for degenerate slope fits
+    assert json.dumps(a.slopes, sort_keys=True) == \
+        json.dumps(b.slopes, sort_keys=True)
+    reports = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        rep = rate_study(fam, 3, [25, 50, 100, 200], M=0, seed=1,
+                         mode="bootstrap", B=16384 + 5)
+        emit_report(rep, "csv", str(tmp_path / "r.csv"))
+        emit_report(rep, "json", str(tmp_path / "r.json"))
+        reports.append(((tmp_path / "r.csv").read_bytes(),
+                        (tmp_path / "r.json").read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_rate_study_reports_do_not_depend_on_cpus(tmp_path, monkeypatch):
     """Analytic and bootstrap-mode studies write the same bytes on one,
     two and three CPUs; bootstrap cells resample over two chunks, the
