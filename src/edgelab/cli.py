@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -16,13 +17,10 @@ import sys
 
 import numpy as np
 
-from . import bootstrap as bl
+# The scans need only these; each other subcommand imports the modules it
+# runs, so that cf-scan and certify load no resampling or expansion code.
 from . import cramer
 from .cumulants import as_points
-from .expansion import SetSpec, build_expansion, set_measure
-from .families import make_family
-from .harness import (default_t_grid, dkw_halfwidth, ecdf_on_grid,
-                      emit_report, rate_study, uniform_sweep)
 
 
 def _out_dir(path: str | None) -> str:
@@ -116,6 +114,7 @@ def _set_from_json(obj: dict, where: str, d: int) -> SetSpec:
     region is well formed, it lives in the data's dimension d (a
     half-line (-inf, t] is a 1-d box) and a ball is centered at the
     origin."""
+    from .expansion import SetSpec
     kind = _need(obj, "kind", where)
     if kind not in _SET_KEYS:
         raise ValueError("%s: unknown set kind %r" % (where, kind))
@@ -217,6 +216,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bootstrap_compare(args) -> int:
+    from . import bootstrap as bl
+    from .expansion import set_measure
+    from .families import make_family
+    from .harness import default_t_grid, dkw_halfwidth, ecdf_on_grid
     if args.data:
         pts = _load_points(args.data)
     else:
@@ -260,6 +263,9 @@ def cmd_bootstrap_compare(args) -> int:
 
 
 def cmd_tstat_study(args) -> int:
+    from . import bootstrap as bl
+    from .families import make_family
+    from .harness import ecdf_on_grid
     fam = make_family(args.family)
     rng = bl.child_rng(args.seed, 202)
     w = fam.sample(rng, args.n)
@@ -289,6 +295,7 @@ def _run_config(args, name: str, required: str, run) -> int:
     settings holds the keywords both drivers take, write the report as
     <name>.csv and <name>.json and print its slopes; exit 2 when every
     sup_dev record is inconclusive."""
+    from .harness import emit_report
     with open(args.config) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant)
     _need(cfg, required, args.config)
@@ -307,6 +314,9 @@ def _run_config(args, name: str, required: str, run) -> int:
 
 
 def cmd_rate_study(args) -> int:
+    from .families import make_family
+    from .harness import rate_study
+
     def run(cfg, settings):
         fam = make_family(cfg["family"], **cfg.get("theta", {}))
         return rate_study(fam, **settings)
@@ -314,6 +324,9 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_uniform_sweep(args) -> int:
+    from .families import make_family
+    from .harness import uniform_sweep
+
     def run(cfg, settings):
         where = "a family in %s" % args.config
         fams = [make_family(_need(f, "name", where), **f.get("theta", {}))
@@ -323,6 +336,9 @@ def cmd_uniform_sweep(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from . import bootstrap as bl
+    from .expansion import build_expansion
+    from .families import make_family
     if args.data:
         stats = bl.sample_stats(_load_points(args.data))
         e = bl.empirical_edgeworth(stats, args.s)
@@ -336,7 +352,10 @@ def cmd_expand(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The edgelab parser, built once per process: parsing leaves it as it
+    was, so main reuses it."""
     p = argparse.ArgumentParser(prog="edgelab")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -410,7 +429,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array, such as an oversized grid,
+        # that cannot be allocated
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

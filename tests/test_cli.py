@@ -545,6 +545,23 @@ def test_bad_tgrid_is_refused(tmp_path, capsys, tgrid):
     assert not (tmp_path / "o").exists()
 
 
+# PiB-scale grids: numpy refuses each array before allocating any of it
+@pytest.mark.parametrize("command, option", [
+    ("tstat-study", "--tgrid=-4:4:1e-15"),
+    ("cf-scan", "--grid-radii=100000000000000000"),
+    ("certify", "--grid-dirs=100000000000000000")])
+def test_oversized_grid_is_refused(tmp_path, capsys, command, option):
+    if command == "tstat-study":
+        argv = [command, "--n", "50", "--B", "100", option,
+                "--out", str(tmp_path / "o")]
+    else:
+        data = write_points(tmp_path / "pts.csv", np.random.default_rng(3)
+                            .exponential(size=(40, 2)))
+        argv = [command, "--data", data, "--Tmax", "10", option]
+    _fails_naming(argv, ["allocate"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_csv_blank_lines_and_header_rows(tmp_path):
     """Header rows and blank lines are skipped; numbers parse bit for bit
     as Python's float does."""
@@ -623,13 +640,126 @@ for argv in (["certify", "--data", data, "--Tmax", "20",
 for name in ("scipy", "sympy", "mpmath", "temme_table", "oracles"):
     assert name not in sys.modules, name + " was imported"
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script, data, data2,
-                           str(cfg), str(sets), str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _fresh("-c", script, data, data2, str(cfg), str(sets),
+                  str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_scans_load_no_resampling_or_expansion_code(tmp_path):
+    """certify and cf-scan, run in a fresh interpreter, load neither the
+    resampling, expansion, family and harness modules nor the Temme
+    table, and start no thread pool."""
+    data = write_points(tmp_path / "pts.csv", np.random.default_rng(5)
+                        .exponential(size=(60, 2)))
+    script = """
+import sys
+import edgelab.cli
+for command in ("certify", "cf-scan"):
+    assert edgelab.cli.main([command, "--data", sys.argv[1], "--Tmax", "20",
+                             "--grid-radii", "32"]) == 0
+loaded = {"edgelab.bootstrap", "edgelab.expansion", "edgelab.families",
+          "edgelab.harness", "edgelab._temme",
+          "concurrent.futures"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
+    proc = _fresh("-c", script, data)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+SUBMODULES = ("bootstrap", "cli", "cramer", "cumulants", "expansion",
+              "families", "harness", "jets")
+REEXPORTS = {
+    "cumulants": ["CumulantSet", "MomentSet",
+                  "averaged_standardized_cumulants", "chi_poly",
+                  "enumerate_multi_indices", "moments_to_cumulants",
+                  "raw_moments_from_points"],
+    "expansion": ["EdgeworthExpansion", "SetSpec", "build_expansion",
+                  "pj_polynomial", "set_measure"],
+    "cramer": ["CharFunctionHandle", "CramerCertificate", "c_r_lower_bound",
+               "eval_cf", "failure_prob_bound", "mean_weak_cramer_scan",
+               "ustat_certificate", "weak_cramer_scan"],
+    "bootstrap": ["EventFlags", "SampleStats", "bootstrap_draws",
+                  "empirical_edgeworth", "event_checks", "g_value_and_jet",
+                  "sample_stats", "tstat_bootstrap"],
+    "families": ["Family", "make_family"],
+    "harness": ["StudyRecord", "StudyReport", "emit_report",
+                "exact_sum_cdf_mc", "rate_study", "uniform_sweep"],
+}
+
+
+def test_bare_import_loads_no_submodule_and_reaches_each():
+    script = """
+import sys
+import edgelab
+assert not [m for m in sys.modules if m.startswith("edgelab.")]
+for name in sys.argv[1:]:
+    assert getattr(edgelab, name) is sys.modules["edgelab." + name], name
+"""
+    proc = _fresh("-c", script, *SUBMODULES)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("module", sorted(REEXPORTS))
+def test_reexported_names_are_the_submodules_objects(module):
+    import importlib
+    import edgelab
+    home = importlib.import_module("edgelab." + module)
+    for name in REEXPORTS[module]:
+        assert getattr(edgelab, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        edgelab.no_such_name
+
+
+def test_one_parser_serves_a_sequence_of_commands(tmp_path, capsys):
+    """main builds its parser once per process: after an invalid argv,
+    certify, cf-scan, rate-study and expand write in this process the
+    bytes each writes in a fresh one."""
+    data = write_points(tmp_path / "pts.csv",
+                        np.array([0.0, 1.0, math.sqrt(2.0)] * 20)[:, None])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": "centered-exponential", "s": 3,
+        "n_grid": [25, 50, 100, 200], "M": 2000, "seed": 0,
+        "out": str(tmp_path / "rate")}))
+    reports = [tmp_path / "rate" / name
+               for name in ("rate_study.csv", "rate_study.json")]
+    commands = [
+        ["certify", "--data", data, "--Tmax", "20", "--grid-radii", "32"],
+        ["cf-scan", "--data", data, "--Tmax", "20", "--grid-radii", "32",
+         "--c", "0.05"],
+        ["rate-study", "--config", str(cfg)],
+        ["expand", "--family", "gamma", "--n", "50", "--s", "4"]]
+    fresh = []
+    for argv in commands:
+        proc = _fresh("-m", "edgelab.cli", *argv)
+        assert proc.returncode in (0, 2), proc.stderr.decode()
+        files = [path.read_bytes() if path.exists() else None
+                 for path in reports]
+        for path in reports:
+            path.unlink(missing_ok=True)
+        fresh.append((proc.returncode, proc.stdout, files))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["cf-scan", "--grid-radii", "many", "--data", data])
+    assert exc.value.code == 2
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (rc, stdout, files) in zip(commands, fresh):
+        capsys.readouterr()
+        assert main(argv) == rc, argv
+        assert capsys.readouterr().out.encode() == stdout, argv
+        assert [path.read_bytes() if path.exists() else None
+                for path in reports] == files, argv
+        for path in reports:
+            path.unlink(missing_ok=True)
+
+
+def _fresh(*args):
+    """python with args in a fresh interpreter that imports edgelab from
+    src/; its output is bytes."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=120)
 
 
 def test_non_finite_data_is_rejected(tmp_path, capsys):
