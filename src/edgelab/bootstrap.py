@@ -44,6 +44,11 @@ _EDGE = 12.0     # Gaussian mass beyond |p| = 12 is below 1e-32
 _T_BLOCK = 16    # grid points per quadrature block; bounds the node arrays
 
 
+def _is_count(v) -> bool:
+    """v is an int >= 1, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream derived from a master seed and a key path."""
     return np.random.default_rng(np.random.SeedSequence(
@@ -132,8 +137,8 @@ def _resample(values: np.ndarray, B: int, seed: int,
     chunk's output, concatenated along that axis.  The chunks run through
     map_chunks.
     """
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    if not _is_count(B):
+        raise ValueError("B must be an integer >= 1, not %r" % (B,))
     n = values.shape[-1]
     rows = max(1, _BLOCK // n)
 
@@ -179,10 +184,11 @@ def event_checks(stats: SampleStats, s: int, rho_bar: float, c1: float,
     """Threshold events on the sample summarized by stats: e0 caps the
     absolute moment of order s by rho_bar, e1 floors Vhat's smallest
     eigenvalue by c1, and e2 caps the largest mixed absolute moment of
-    order at most s by c2."""
+    order at most s by c2.  Each threshold must be a finite number > 0."""
     for name, v in (("rho_bar", rho_bar), ("c1", c1), ("c2", c2)):
-        if v <= 0:
-            raise ValueError("%s must be > 0" % name)
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError("%s must be a finite number > 0, not %r"
+                             % (name, v))
     pts = stats.points
     abs_moment = float((np.sqrt(np.sum(pts * pts, axis=1)) ** s).mean())
     max_mixed = max(raw_moments_from_points(np.abs(pts), s).table.values())
@@ -272,8 +278,7 @@ def edgeworth_tstat_curve(t_grid, e: EdgeworthExpansion, stats: SampleStats,
     does not depend on the CPU count and each thread holds one chunk of
     points at a time.
     """
-    if not (isinstance(budget, int) and not isinstance(budget, bool)
-            and budget >= 1):
+    if not _is_count(budget):
         raise ValueError("budget must be an integer >= 1, not %r"
                          % (budget,))
     t_grid = np.asarray(t_grid, dtype=float)

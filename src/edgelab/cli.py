@@ -177,7 +177,10 @@ def _write_comparison(path: str, key: str, labels, q_emp, q_tilde,
 # subcommands
 
 def _scan(args):
-    h = cramer.CharFunctionHandle.from_points(_load_points(args.data))
+    if args.cR is not None and not (np.isfinite(args.cR) and args.cR > 0):
+        raise ValueError("--cR must be a finite number > 0, not %r"
+                         % args.cR)
+    h = cramer.CharFunctionHandle(_load_points(args.data))
     return h, cramer.weak_cramer_scan(
         h, b=args.b, R=args.R, T_max=args.Tmax, n_radii=args.grid_radii,
         n_dirs=args.grid_dirs, c=args.c)
@@ -235,6 +238,8 @@ def cmd_bootstrap_compare(args) -> int:
         raise ValueError("the data have %d columns; bootstrap-compare "
                          "needs --sets for data with more than 1 column" % d)
     stats = bl.sample_stats(pts)
+    flags = bl.event_checks(stats, args.s, rho_bar=args.rho_bar, c1=1e-6,
+                            c2=args.rho_bar)
     draws = bl.bootstrap_draws(stats, args.B, seed=args.seed)
     e = bl.empirical_edgeworth(stats, args.s)
     if args.sets:
@@ -250,8 +255,6 @@ def cmd_bootstrap_compare(args) -> int:
     csv_path = os.path.join(out_dir, "bootstrap_compare.csv")
     sup = _write_comparison(csv_path, "set_id", labels, q_emp, q_tilde,
                             itertools.repeat(dkw_halfwidth(args.B)))
-    flags = bl.event_checks(stats, args.s, rho_bar=args.rho_bar, c1=1e-6,
-                            c2=args.rho_bar)
     summary = {
         "n": stats.n, "B": args.B, "s": args.s,
         "sup_deviation": sup,

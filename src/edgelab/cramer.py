@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,47 +49,30 @@ def _atoms(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CharFunctionHandle:
-    """Characteristic function of an empirical or analytic law.
-
-    Exactly one of ``points`` (an (n, d) array, or a 1-d array of n points
-    in R^1: the empirical measure with uniform weights) or ``cf`` (a
-    callable mapping an (m, d) array of frequencies to complex values)
-    must be given.  An empirical handle keeps its input ``points`` and
-    evaluates the same measure from its distinct rows ``atoms`` and their
-    ``weights``.
+    """Characteristic function of the empirical law of ``points`` (an
+    (n, d) array, or a 1-d array of n points in R^1), with uniform
+    weights.  The handle keeps its points and evaluates the same measure
+    from its distinct rows ``atoms`` and their ``weights``.
     """
 
-    dimension: int
-    points: Optional[np.ndarray] = None
-    cf: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    atoms: Optional[np.ndarray] = field(default=None, init=False,
-                                        repr=False, compare=False)
-    weights: Optional[np.ndarray] = field(default=None, init=False,
-                                          repr=False, compare=False)
+    points: np.ndarray
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.points is None) == (self.cf is None):
-            raise ValueError("give exactly one of points= or cf=")
-        if self.points is not None:
-            pts = as_points(self.points)
-            if pts.shape[1] != self.dimension:
-                raise ValueError("points have dimension %d, expected %d"
-                                 % (pts.shape[1], self.dimension))
-            atoms, weights = _atoms(pts)
-            object.__setattr__(self, "points", pts)
-            object.__setattr__(self, "atoms", atoms)
-            object.__setattr__(self, "weights", weights)
+        pts = as_points(self.points)
+        atoms, weights = _atoms(pts)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
 
-    @staticmethod
-    def from_points(points) -> "CharFunctionHandle":
-        pts = as_points(points)
-        return CharFunctionHandle(pts.shape[1], points=pts)
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
 
     def values(self, T: np.ndarray) -> np.ndarray:
         """cf evaluated at frequencies T of shape (m, d)."""
         T = np.atleast_2d(np.asarray(T, dtype=float))
-        if self.points is None:
-            return np.asarray(self.cf(T), dtype=complex)
         out = np.empty(T.shape[0], dtype=complex)
         rows = max(1, _BLOCK // self.atoms.shape[0])
         for lo in range(0, T.shape[0], rows):
@@ -229,6 +212,13 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
     if c is not None and not c > 0:
         raise ValueError("target margin c must be > 0, got %r" % (c,))
     radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
+    try:
+        finite = math.isfinite(T_max ** b)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("T_max ** b (%r ** %r) exceeds the float range: "
+                         "lower --b or --Tmax" % (T_max, b))
     # |cf(-t)| = |cf(t)|: of an antipodal grid only the first half is
     # scanned, so ties name the first direction of each pair
     half = dirs.shape[0] // 2
@@ -351,9 +341,6 @@ def ustat_certificate(h: CharFunctionHandle, t, b: float, R: float
     Returns S(t) and a record asserting the inequality, plus the implied
     weak Cramer margin S(t) ||t||^b for the scanned frequency.
     """
-    if h.points is None:
-        raise ValueError("the pairwise certificate needs an empirical "
-                         "handle (points=)")
     n = h.points.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")

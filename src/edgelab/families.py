@@ -9,7 +9,7 @@ serve the tests as the oracle of the exact law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, exp, factorial, isfinite, lgamma, log, sqrt
 from numbers import Real
 from typing import Callable, Dict, Optional
@@ -27,7 +27,6 @@ _SUM_CHUNK = 200_000  # max scalar draws materialized at once
 @dataclass(frozen=True)
 class Family:
     name: str
-    d: int
     theta: Dict[str, float]
     lattice: bool
     mean: float
@@ -270,7 +269,7 @@ def make_family(name: str, **theta) -> Family:
                          % (name, ", ".join(map(repr, unknown))))
     if name == "gaussian":
         return Family(
-            name="gaussian", d=1, theta={}, lattice=False, mean=0.0, sd=1.0,
+            name="gaussian", theta={}, lattice=False, mean=0.0, sd=1.0,
             sampler=lambda rng, m: rng.standard_normal(m),
             cumulant_fn=lambda r: {1: 0.0, 2: 1.0}.get(r, 0.0),
             cf=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)[..., 0] ** 2),
@@ -283,7 +282,7 @@ def make_family(name: str, **theta) -> Family:
         support = np.array([0.0, 1.0])
         weights = np.array([1 - p, p])
         return Family(
-            name="bernoulli", d=1, theta={"p": p}, lattice=True,
+            name="bernoulli", theta={"p": p}, lattice=True,
             mean=p, sd=sqrt(p * (1 - p)),
             sampler=lambda rng, m: (rng.random(m) < p).astype(float),
             cumulant_fn=_discrete_cumulant_fn(support, weights),
@@ -296,35 +295,33 @@ def make_family(name: str, **theta) -> Family:
         mean = float(support.mean())
         sd = float(np.sqrt(np.mean(support ** 2) - mean ** 2))
         return Family(
-            name="three-point-irrational", d=1,
-            theta={}, lattice=False, mean=mean, sd=sd,
+            name="three-point-irrational", theta={}, lattice=False,
+            mean=mean, sd=sd,
             sampler=lambda rng, m: support[rng.integers(0, 3, m)],
             cumulant_fn=_discrete_cumulant_fn(support, weights),
             cf=lambda t: np.mean(np.exp(
                 1j * np.asarray(t, dtype=float)[..., :1] * support), axis=-1),
             sum_cdf_fn=_three_point_sum_cdf(mean, sd))
-    if name == "centered-exponential":
-        return Family(
-            name="centered-exponential", d=1, theta={}, lattice=False,
-            mean=0.0, sd=1.0,
-            sampler=lambda rng, m: rng.exponential(size=m) - 1.0,
-            cumulant_fn=lambda r: 0.0 if r == 1 else float(factorial(r - 1)),
-            cf=lambda t: np.exp(-1j * np.asarray(t, dtype=float)[..., 0])
-                / (1 - 1j * np.asarray(t, dtype=float)[..., 0]),
-            sum_cdf_fn=_gamma_sum_cdf(1.0),
-            sum_sampler=lambda n, M, rng:
-                (rng.gamma(n, size=M) - n) / sqrt(n))
     if name == "gamma":
         k = _positive(name, "shape", theta.get("shape", 2.0))
+
+        def cf(t):
+            t = np.asarray(t, dtype=float)[..., 0]
+            return np.exp(-1j * k * t) * (1 - 1j * t) ** -k
         return Family(
-            name="gamma", d=1, theta={"shape": k}, lattice=False,
+            name="gamma", theta={"shape": k}, lattice=False,
             mean=0.0, sd=sqrt(k),
             sampler=lambda rng, m: rng.gamma(k, size=m) - k,
             cumulant_fn=lambda r: 0.0 if r == 1
                 else float(factorial(r - 1)) * k,
+            cf=cf,
             sum_cdf_fn=_gamma_sum_cdf(k),
             sum_sampler=lambda n, M, rng:
                 (rng.gamma(n * k, size=M) - n * k) / sqrt(n * k))
+    if name == "centered-exponential":
+        # Gamma(1) is Exp(1); numpy's shape-1 gamma draw is its exponential
+        return replace(make_family("gamma", shape=1.0),
+                       name="centered-exponential", theta={})
     if name == "gaussian-mixture":
         w = _reals(name, "weights", theta.get("weights", (0.5, 0.5)))
         mus = _reals(name, "means", theta.get("means", (-1.0, 1.0)))
@@ -344,7 +341,7 @@ def make_family(name: str, **theta) -> Family:
             z = rng.standard_normal(m)
             return np.asarray(mus)[comp] + np.asarray(sigmas)[comp] * z
         return Family(
-            name="gaussian-mixture", d=1,
+            name="gaussian-mixture",
             theta={"weights": list(w), "means": list(mus),
                    "sds": list(sigmas)},
             lattice=False, mean=mean, sd=sd, sampler=sampler,

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import (bootstrap_draws, child_rng, empirical_edgeworth,
-                        sample_stats)
+from .bootstrap import (_is_count, bootstrap_draws, child_rng,
+                        empirical_edgeworth, sample_stats)
 from .expansion import _contract, _hermite_interval, build_expansion
 from .families import Family
 
@@ -174,11 +174,6 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
     return recs
 
 
-def _is_count(v) -> bool:
-    """v is an int >= 1, and not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 def _checked_grid(n_grid: Sequence[int], reps) -> List[int]:
     """n_grid as a list, once it and reps are known to hold ints >= 1 and
     n_grid to increase strictly over at least 4 points."""
@@ -214,8 +209,9 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
     s_values = sorted({2, s})
     if mode not in ("analytic", "bootstrap"):
         raise ValueError("mode must be 'analytic' or 'bootstrap'")
-    if mode == "bootstrap" and B is None:
-        raise ValueError("bootstrap mode needs a resampling budget B")
+    if mode == "bootstrap" and not _is_count(B):
+        raise ValueError("bootstrap mode needs a resampling budget B, an "
+                         "integer >= 1, not %r" % (B,))
     if mode == "analytic" and not _is_count(M):
         raise ValueError("M must be an integer >= 1, not %r" % (M,))
     laws = (family.sum_cdf(np.array(n_grid)[:, None], t_grid)

@@ -152,7 +152,7 @@ def test_criterion_04_certificate_soundness():
             pts = rng.integers(0, 4, size=(n, d)).astype(float)
         else:
             pts = rng.exponential(size=(n, d))
-        h = CharFunctionHandle.from_points(pts)
+        h = CharFunctionHandle(pts)
         for _ in range(20):
             t = rng.normal(size=d) * 4
             _, rec = ustat_certificate(h, t, b=1.0, R=1.0)
@@ -166,7 +166,7 @@ def test_criterion_04_certificate_soundness():
 def test_criterion_05_lattice_negative_control():
     rng = np.random.default_rng(15)
     pts = (rng.random(200) < 0.5).astype(float)[:, None]
-    h = CharFunctionHandle.from_points(pts)
+    h = CharFunctionHandle(pts)
     ok = True
     worst_mod = 1.0
     for c in np.logspace(-6, 0, 7)[1:]:      # every target above 1e-6
@@ -188,7 +188,7 @@ def test_criterion_06_nonlattice_positive_control():
     for seed in range(20):
         rng = child_rng(seed, 303)
         pts = support[rng.integers(0, 3, 300)][:, None]
-        cert = weak_cramer_scan(CharFunctionHandle.from_points(pts),
+        cert = weak_cramer_scan(CharFunctionHandle(pts),
                                 b=1.0, R=1.0, T_max=100.0)
         if cert.status == "certified-on-grid" and cert.c > 0:
             certified += 1

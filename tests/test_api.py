@@ -21,6 +21,8 @@ KEPT = {
     "Family.sum_sample": "tracer target, item 5",
     "Family.lattice": "ROADMAP item 6: a lattice sweep variant must "
                       "report no-margin",
+    "Family.cf": "ROADMAP items 4, 6 and 13: a family's exact cf, for the "
+                 "smoothing bound and the sweep's uniform Cramer check",
     "SampleStats.cov": "the summary's Vhat, whose roots src reads; the "
                        "tests check the roots against it",
     "EventFlags.abs_moment": "the statistic that e0 thresholds",

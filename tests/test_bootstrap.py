@@ -171,6 +171,17 @@ def test_resampling_default_workers_and_validation(monkeypatch):
         tstat_bootstrap(pts[:, 0], 0)
 
 
+@pytest.mark.parametrize("B", [True, 2.5, 0])
+def test_resampling_budget_is_a_count(B):
+    """B is an int >= 1 and not a bool, as every count of the program:
+    True is not one draw and 2.5 is refused, not a TypeError."""
+    pts = skewed_sample(30, seed=25)
+    with pytest.raises(ValueError, match="B must be an integer >= 1"):
+        bootstrap_draws(sample_stats(pts), B)
+    with pytest.raises(ValueError, match="B must be an integer >= 1"):
+        tstat_bootstrap(pts[:, 0], B)
+
+
 def test_bootstrap_draws_rejects_degenerate_data():
     with pytest.raises(ValueError):
         bootstrap_draws(sample_stats(np.ones((30, 1))), 100)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgelab
-from edgelab import bootstrap, cli, cumulants, harness
+from edgelab import bootstrap, cli, cramer, cumulants, harness
 from edgelab.cli import _load_points, main
 from edgelab.families import make_family
 
@@ -561,6 +561,39 @@ def test_oversized_grid_is_refused(tmp_path, capsys, command, option):
                             .exponential(size=(40, 2)))
         argv = [command, "--data", data, "--Tmax", "10", option]
     _fails_naming(argv, ["allocate"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("certify", ["--b", "1e308"]), ("cf-scan", ["--b", "1e308"]),
+    ("cf-scan", ["--b", "400"]), ("certify", ["--Tmax", "1e200", "--b", "2"])])
+def test_scan_weight_beyond_the_float_range_is_refused(spread_csv, capsys,
+                                                       command, options):
+    """T_max ** b must be a finite float, or every slack overflows."""
+    _fails_naming([command, "--data", spread_csv] + options,
+                  ["--b", "exceeds the float range"], capsys)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("scanned before refusing the input")
+
+
+@pytest.mark.parametrize("command", ["cf-scan", "certify"])
+@pytest.mark.parametrize("cR", ["-1", "0", "inf", "nan"])
+def test_scans_refuse_a_bad_cR_before_scanning(spread_csv, capsys,
+                                               monkeypatch, command, cR):
+    monkeypatch.setattr(cramer, "weak_cramer_scan", _no_scan)
+    _fails_naming([command, "--data", spread_csv, "--cR", cR],
+                  ["--cR must be a finite number > 0", cR], capsys)
+
+
+@pytest.mark.parametrize("rho_bar", ["nan", "-1", "0", "inf"])
+def test_bad_rho_bar_is_refused_before_resampling(tmp_path, capsys,
+                                                  monkeypatch, rho_bar):
+    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--n", "50", "--B", "100",
+                   "--rho-bar", rho_bar, "--out", str(tmp_path / "o")],
+                  ["rho_bar must be a finite number > 0", rho_bar], capsys)
     assert not (tmp_path / "o").exists()
 
 

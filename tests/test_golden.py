@@ -21,9 +21,16 @@ def test_outputs_match_the_golden_record(name, tmp_path):
 
 
 def test_the_comparison_tolerates_rounding_only():
-    assert golden.differences({"c": 1.0, "n": 3}, {"c": 1.0 + 1e-15, "n": 3}) \
+    assert golden.differences({"v": 1.0, "n": 3}, {"v": 1.0 + 1e-15, "n": 3}) \
         == []
     assert golden.differences([1.0], [1.0 + 1e-9]) != []
+    assert golden.differences([0.0], [5e-14]) == []
+    assert golden.differences([0.0], [1e-12]) != []
+    # the scan's witness is located to about 1.5e-8 relative
+    assert golden.differences({"witness": [1.0]}, {"witness": [1.0 + 1e-8]}) \
+        == []
+    assert golden.differences({"witness": [1.0]}, {"witness": [1.0 + 1e-6]}) \
+        != []
     assert golden.differences({"n": 3}, {"n": 3.0}) != []
     assert golden.differences({"a": 1, "b": 2}, {"b": 2, "a": 1}) != []
     assert golden.parse("x.csv", "t,v\nt=1,0.5\n") == [["t", "v"],

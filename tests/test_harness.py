@@ -68,6 +68,33 @@ def test_gaussian_cf_is_exact():
     assert fam.cf(t)[0] == pytest.approx(math.exp(-0.245))
 
 
+def test_centered_exponential_is_gamma_at_shape_one():
+    """The same law, draws and sums as gamma(1), under its own name; the
+    draws are numpy's standard exponential bit for bit."""
+    exp_fam, gam = make_family("centered-exponential"), make_family(
+        "gamma", shape=1.0)
+    assert (exp_fam.name, exp_fam.theta) == ("centered-exponential", {})
+    assert (exp_fam.mean, exp_fam.sd) == (gam.mean, gam.sd) == (0.0, 1.0)
+    assert np.array_equal(exp_fam.sample(np.random.default_rng(3), 1000),
+                          np.random.default_rng(3).exponential(size=1000)
+                          - 1.0)
+    assert np.array_equal(exp_fam.sum_sample(7, 100, np.random.default_rng(4)),
+                          gam.sum_sample(7, 100, np.random.default_rng(4)))
+    t = np.array([[-2.0], [0.3], [5.0]])
+    assert np.allclose(exp_fam.cf(t), np.exp(-1j * t[:, 0])
+                       / (1 - 1j * t[:, 0]), rtol=1e-14, atol=0)
+
+
+def test_gamma_cf_is_the_transform_of_its_density():
+    from scipy.integrate import quad
+    k, t = 2.5, 0.7
+    law = gamma_law(k, loc=-k)
+    want = complex(quad(lambda x: law.pdf(x) * math.cos(t * x), -k, 60)[0],
+                   quad(lambda x: law.pdf(x) * math.sin(t * x), -k, 60)[0])
+    got = make_family("gamma", shape=k).cf(np.array([[t]]))[0]
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_mixture_weight_validation():
     with pytest.raises(ValueError):
         make_family("gaussian-mixture", weights=(0.7, 0.6))
@@ -298,6 +325,17 @@ def test_rate_study_grid_validation():
     with pytest.raises(ValueError):
         rate_study(fam, 3, [25, 50, 100, 200], M=1000, seed=0,
                    mode="bootstrap")  # needs B
+
+
+@pytest.mark.parametrize("B", [None, True, 2.5, 0])
+def test_bootstrap_rate_study_refuses_a_bad_budget_before_resampling(
+        monkeypatch, B):
+    def no_resampling(*args, **kwargs):
+        raise AssertionError("resampled before refusing B")
+    monkeypatch.setattr(harness, "bootstrap_draws", no_resampling)
+    with pytest.raises(ValueError, match="budget B, an integer >= 1"):
+        rate_study(make_family("gaussian"), 3, [25, 50, 100, 200], M=1000,
+                   seed=0, mode="bootstrap", B=B)
 
 
 def _count_kernel_calls(monkeypatch):
