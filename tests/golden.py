@@ -31,6 +31,7 @@ import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +242,6 @@ def compare(want: dict, got: dict) -> list:
 
 
 def main() -> int:
-    import tempfile
     write_inputs()
     for old in GOLDEN.glob("*.json"):
         old.unlink()
