@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 
-_BLOCK = 2 ** 18   # frequency-by-atom elements per block (a row if longer)
+# frequency-by-atom elements per block (a row if longer): 128 KB per float
+# temporary, so a block's few temporaries stay in a core's L2 cache
+_BLOCK = 2 ** 14
 
 
 def _atoms(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -78,7 +80,7 @@ class CharFunctionHandle:
         for lo in range(0, T.shape[0], rows):
             phase = T[lo:lo + rows] @ self.atoms.T
             out.real[lo:lo + rows] = np.cos(phase) @ self.weights
-            out.imag[lo:lo + rows] = np.sin(phase) @ self.weights
+            out.imag[lo:lo + rows] = np.sin(phase, out=phase) @ self.weights
         return out
 
     def modulus(self, T: np.ndarray) -> np.ndarray:
@@ -209,8 +211,9 @@ def _scan(modulus_fn, d: int, b: float, R: float, T_max: float,
           c: Optional[float]) -> CramerCertificate:
     if not b > 0:
         raise ValueError("b must be > 0")
-    if c is not None and not c > 0:
-        raise ValueError("target margin c must be > 0, got %r" % (c,))
+    if c is not None and not (math.isfinite(c) and c > 0):
+        raise ValueError("target margin c must be > 0 and finite, got %r"
+                         % (c,))
     radii, dirs = scan_grid(d, R, T_max, n_radii, n_dirs)
     try:
         finite = math.isfinite(T_max ** b)
@@ -383,8 +386,8 @@ def c_r_lower_bound(points, R: float, t_grid) -> Tuple[float, np.ndarray]:
 
 def failure_prob_bound(c_R: float, n: int) -> float:
     """exp(-c_R^2 n / 2): bound on the chance the empirical measure fails."""
-    if c_R <= 0:
-        raise ValueError("c_R must be > 0")
+    if not (math.isfinite(c_R) and c_R > 0):
+        raise ValueError("c_R must be > 0 and finite, got %r" % (c_R,))
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.exp(-c_R ** 2 * n / 2)

@@ -77,6 +77,19 @@ def test_nonpositive_target_margin_is_rejected(spread_csv, capsys):
         assert "target margin c must be > 0" in captured.err
 
 
+def test_infinite_target_margin_is_rejected(spread_csv, capsys):
+    """--c inf used to scan, report "violated" and then fail to write
+    the infinite c as strict JSON."""
+    for command in ("cf-scan", "certify"):
+        assert main([command, "--data", spread_csv, "--c", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(
+            "error: target margin c must be > 0 and finite"), lines[0]
+
+
 def test_scans_refuse_fewer_than_one_direction(tmp_path, capsys):
     """--grid-dirs 0 used to scan the default 64 directions and -3 to end
     in numpy's argmin of an empty sequence."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -401,6 +402,13 @@ def test_refined_margin_matches_bounded_minimization(seed, monkeypatch):
     assert 0.0 <= ours[1].c <= 1e-12 and 0.0 <= ref[1].c <= 1e-12
 
 
+def test_both_scans_refuse_an_infinite_target_margin():
+    h = CharFunctionHandle([0.0, 1.0, math.sqrt(2.0)])
+    for scan, arg in ((weak_cramer_scan, h), (mean_weak_cramer_scan, [h])):
+        with pytest.raises(ValueError, match="c must be > 0 and finite"):
+            scan(arg, b=1.0, R=1.0, T_max=20.0, c=math.inf)
+
+
 @pytest.mark.parametrize("b", [-1.0, 0.0])
 def test_both_scans_refuse_nonpositive_b(b):
     h = CharFunctionHandle([0.0, 1.0, math.sqrt(2.0)])
@@ -506,6 +514,31 @@ def test_c_r_lower_bound_in_memory_linear_in_n():
     assert np.array_equal(t_star, grid[int(np.argmax(law))])
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frequency_kernels_work_in_cache_sized_blocks():
+    """On 2,000 distinct atoms both kernels hold one block of about 2^14
+    frequency-by-atom elements at a time: the cf over 16,384 frequencies
+    peaks near 0.5 MB (its 0.26 MB output included) and the pair sums
+    over 512 frequencies near 1.5 MB, for any atom count up to 2^14.
+    Blocks of 2^18 elements peaked at 4.5 and 24 MB."""
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(2000, 2))
+    h = CharFunctionHandle(pts)
+    assert h.atoms.shape == (2000, 2)
+    T = rng.uniform(-100, 100, size=(16384, 2))
+    grid = rng.uniform(2, 100, size=(512, 2))
+    assert _traced_peak(h.values, T) < 2 ** 20
+    assert _traced_peak(c_r_lower_bound, pts, 1.0, grid) < 3 * 2 ** 20
+
+
 def test_c_r_lower_bound_rejects_small_frequencies():
     with pytest.raises(ValueError):
         c_r_lower_bound(np.zeros((3, 1)), R=2.0,
@@ -515,5 +548,8 @@ def test_c_r_lower_bound_rejects_small_frequencies():
 def test_failure_prob_bound_validation():
     with pytest.raises(ValueError):
         failure_prob_bound(0.0, 10)
+    for c_R in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_R must be > 0 and finite"):
+            failure_prob_bound(c_R, 10)
     with pytest.raises(ValueError):
         failure_prob_bound(0.5, 0)
