@@ -526,9 +526,9 @@ def _traced_peak(fn, *args):
 def test_frequency_kernels_work_in_cache_sized_blocks():
     """On 2,000 distinct atoms both kernels hold one block of about 2^14
     frequency-by-atom elements at a time: the cf over 16,384 frequencies
-    peaks near 0.5 MB (its 0.26 MB output included) and the pair sums
-    over 512 frequencies near 1.5 MB, for any atom count up to 2^14.
-    Blocks of 2^18 elements peaked at 4.5 and 24 MB."""
+    peaked at 0.52 MB (its 0.26 MB output included) and the pair sums
+    over 512 frequencies at 1.5 MB.  Blocks of 2^18 elements peaked at
+    4.5 and 24 MB."""
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(2000, 2))
     h = CharFunctionHandle(pts)
