@@ -8,7 +8,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +25,13 @@ __all__ = [
     "EventFlags",
     "sample_stats",
     "bootstrap_draws",
+    "bootstrap_counts",
+    "counts_at_or_below",
     "empirical_edgeworth",
     "event_checks",
     "g_value_and_jet",
     "tstat_bootstrap",
+    "tstat_counts",
     "tstat_pushforward",
     "edgeworth_tstat_curve",
     "edgeworth_tstat_exact",
@@ -87,23 +90,56 @@ def sample_stats(data) -> SampleStats:
                        root=root, inv_root=inv_root)
 
 
+def _standardized_chunks(stats: SampleStats, B: int, seed: int,
+                         stream_key: Tuple[int, ...], tally: Callable
+                         ) -> list:
+    """tally(z) for each chunk z of B draws of sqrt(n) Vhat^{-1/2}
+    (bootstrap mean - sample mean), in chunk order, for the sample
+    summarized by stats.  The points are resampled coordinate by
+    coordinate, from their transposed (d, n) copy, and each coordinate of
+    a resample's mean adds its n values pairwise."""
+    def standardize(means):
+        return tally(sqrt(stats.n) * (means.T - stats.mean)
+                     @ stats.inv_root.T)
+
+    return _resample(np.ascontiguousarray(stats.points.T), B, seed,
+                     stream_key, lambda res: res.mean(axis=-1), standardize)
+
+
 def bootstrap_draws(stats: SampleStats, B: int, seed: int = 0,
                     stream_key: Tuple[int, ...] = ()) -> np.ndarray:
     """B draws of sqrt(n) Vhat^{-1/2} (bootstrap mean - sample mean) for
-    the sample summarized by stats.
+    the sample summarized by stats, as a (B, d) array.
 
     Streams are derived per fixed-size chunk from (seed, stream_key, chunk),
     so the output is bit-identical for any number of worker threads;
-    resampling runs on every available CPU.  The points are resampled
-    coordinate by coordinate, from their transposed (d, n) copy, and each
-    coordinate of a resample's mean adds its n values pairwise.
+    resampling runs on every available CPU.  bootstrap_counts tallies the
+    same draws without joining them.
     """
-    def standardize(means):
-        return sqrt(stats.n) * (means.T - stats.mean) @ stats.inv_root.T
+    return np.concatenate(_standardized_chunks(stats, B, seed, stream_key,
+                                               lambda z: z))
 
-    return _resample(np.ascontiguousarray(stats.points.T), B, seed,
-                     stream_key, lambda res: res.mean(axis=-1),
-                     finish=standardize)
+
+def bootstrap_counts(stats: SampleStats, B: int,
+                     tally: Callable[[np.ndarray], np.ndarray],
+                     seed: int = 0, stream_key: Tuple[int, ...] = ()
+                     ) -> np.ndarray:
+    """The sum of tally(z) over the chunks z of the B draws of
+    bootstrap_draws(stats, B, seed, stream_key), where tally maps an
+    (m, d) chunk of draws to a vector of int counts and may reorder the
+    chunk in place.  Each chunk is tallied on the thread that drew it, so
+    memory holds one chunk per thread and a vector per chunk, never all B
+    draws; the integer sum does not depend on the CPU count.
+    """
+    return sum(_standardized_chunks(stats, B, seed, stream_key, tally))
+
+
+def counts_at_or_below(samples: np.ndarray, grid) -> np.ndarray:
+    """The number of 1-d samples at or below each grid point; sorts
+    samples in place."""
+    samples.sort()
+    return np.searchsorted(samples, np.asarray(grid, dtype=float),
+                           side="right")
 
 
 def _available_cpus() -> int:
@@ -125,17 +161,17 @@ def map_chunks(chunk: Callable[[int], object], n_chunks: int) -> list:
 
 def _resample(values: np.ndarray, B: int, seed: int,
               stream_key: Tuple[int, ...], reduce: Callable,
-              finish: Optional[Callable] = None) -> np.ndarray:
-    """B resamples of the n entries along the last axis of values, each
-    reduced along that axis.
+              finish: Callable) -> list:
+    """finish of each chunk of B resamples of the n entries along the last
+    axis of values, each reduced along that axis, in chunk order.
 
     Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
     (seed, *stream_key, ci), in row blocks of about _BLOCK indices: a
     block of r resamples gathers values[..., idx] for its (r, n) indices
     and is passed to reduce, which must treat resamples independently and
-    keep them on its output's last axis.  finish, if given, maps the
-    chunk's output, concatenated along that axis.  The chunks run through
-    map_chunks.
+    keep them on its output's last axis.  finish maps the chunk's output,
+    concatenated along that axis, to the chunk's result.  The chunks run
+    through map_chunks.
     """
     if not _is_count(B):
         raise ValueError("B must be an integer >= 1, not %r" % (B,))
@@ -145,13 +181,12 @@ def _resample(values: np.ndarray, B: int, seed: int,
     def chunk(ci):
         m = min(_CHUNK, B - ci * _CHUNK)
         rng = child_rng(seed, *stream_key, ci)
-        out = np.concatenate([
+        return finish(np.concatenate([
             reduce(np.take(values, rng.integers(
                 0, n, size=(min(rows, m - lo), n)), axis=-1))
-            for lo in range(0, m, rows)], axis=-1)
-        return out if finish is None else finish(out)
+            for lo in range(0, m, rows)], axis=-1))
 
-    return np.concatenate(map_chunks(chunk, -(-B // _CHUNK)))
+    return map_chunks(chunk, -(-B // _CHUNK))
 
 
 def empirical_edgeworth(stats: SampleStats, s: int) -> EdgeworthExpansion:
@@ -217,16 +252,13 @@ def g_value_and_jet(xbar, wbar: float,
             for alpha in enumerate_multi_indices(2, order)}
 
 
-def tstat_bootstrap(W, B: int, seed: int = 0,
-                    stream_key: Tuple[int, ...] = ()
-                    ) -> Tuple[np.ndarray, int]:
-    """B bootstrap draws of the studentized mean statistic.
-
-    Resamples with replacement, studentizes by the resample standard
-    deviation (denominator n), and centers at the original sample mean.
-    Draws with zero resample variance are excluded and counted.  Streams
-    are as in bootstrap_draws; resampling runs on every available CPU.
-    """
+def _studentized_chunks(W, B: int, seed: int, stream_key: Tuple[int, ...],
+                        tally: Callable) -> list:
+    """tally(t) for each chunk's kept draws t of the studentized mean
+    statistic, in chunk order: each of B resamples with replacement is
+    studentized by its standard deviation (denominator n) and centered at
+    the original sample mean, and draws with zero resample variance are
+    left out."""
     w = np.asarray(W, dtype=float).ravel()
     n = w.size
     if np.unique(w).size < 2:
@@ -239,8 +271,38 @@ def tstat_bootstrap(W, B: int, seed: int = 0,
         ok = s2 > 0
         return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
 
-    kept = _resample(w, B, seed, stream_key, studentize)
+    return _resample(w, B, seed, stream_key, studentize, tally)
+
+
+def tstat_bootstrap(W, B: int, seed: int = 0,
+                    stream_key: Tuple[int, ...] = ()
+                    ) -> Tuple[np.ndarray, int]:
+    """B bootstrap draws of the studentized mean statistic.
+
+    Resamples with replacement, studentizes by the resample standard
+    deviation (denominator n), and centers at the original sample mean.
+    Draws with zero resample variance are excluded and counted.  Streams
+    are as in bootstrap_draws; resampling runs on every available CPU.
+    tstat_counts counts the same draws without joining them.
+    """
+    kept = np.concatenate(_studentized_chunks(W, B, seed, stream_key,
+                                              lambda t: t))
     return kept, B - kept.size
+
+
+def tstat_counts(W, B: int, grid, seed: int = 0,
+                 stream_key: Tuple[int, ...] = ()) -> Tuple[np.ndarray, int]:
+    """The number of the kept draws of tstat_bootstrap(W, B, seed,
+    stream_key) at or below each grid point, and the number of degenerate
+    draws, those with zero resample variance, which no count includes.
+    Each chunk is sorted and counted on the thread that drew it, so memory
+    holds one chunk per thread, never all B draws.
+    """
+    grid = np.asarray(grid, dtype=float)
+    parts = _studentized_chunks(W, B, seed, stream_key, lambda t: (
+        t.size, counts_at_or_below(t, grid)))
+    return (sum(counts for _, counts in parts),
+            B - sum(kept for kept, _ in parts))
 
 
 def tstat_pushforward(x: np.ndarray, stats: SampleStats

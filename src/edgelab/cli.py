@@ -12,6 +12,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -160,16 +161,21 @@ def _write_comparison(path: str, key: str, labels, q_emp, q_tilde,
                       mc_se) -> float:
     """Write the table key,q_emp,q_tilde,abs_dev,mc_se with one row per
     label and every number the repr of a float; return the largest
-    abs_dev."""
-    sup = 0.0
+    abs_dev.  A deviation that is not a number is refused before anything
+    is written."""
+    sup, rows = 0.0, []
+    for label, qe, qt, se in zip(labels, q_emp, q_tilde, mc_se):
+        qe, qt = float(qe), float(qt)
+        dev = abs(qe - qt)
+        if math.isnan(dev):
+            raise ValueError("the deviation at %s %s is not a number "
+                             "(q_emp %r, q_tilde %r)" % (key, label, qe, qt))
+        sup = max(sup, dev)
+        rows.append([label, repr(qe), repr(qt), repr(dev), repr(float(se))])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([key, "q_emp", "q_tilde", "abs_dev", "mc_se"])
-        for label, qe, qt, se in zip(labels, q_emp, q_tilde, mc_se):
-            qe, qt = float(qe), float(qt)
-            sup = max(sup, abs(qe - qt))
-            w.writerow([label, repr(qe), repr(qt), repr(abs(qe - qt)),
-                        repr(float(se))])
+        w.writerows(rows)
     return sup
 
 
@@ -222,7 +228,7 @@ def cmd_bootstrap_compare(args) -> int:
     from . import bootstrap as bl
     from .expansion import set_measure
     from .families import make_family
-    from .harness import default_t_grid, dkw_halfwidth, ecdf_on_grid
+    from .harness import default_t_grid, dkw_halfwidth
     if args.data:
         pts = _load_points(args.data)
     else:
@@ -240,17 +246,19 @@ def cmd_bootstrap_compare(args) -> int:
     stats = bl.sample_stats(pts)
     flags = bl.event_checks(stats, args.s, rho_bar=args.rho_bar, c1=1e-6,
                             c2=args.rho_bar)
-    draws = bl.bootstrap_draws(stats, args.B, seed=args.seed)
     e = bl.empirical_edgeworth(stats, args.s)
     if args.sets:
         labels = [json.dumps(o) for o in specs]
-        q_emp = [A.contains(draws).mean() for A in sets]
+        counts = bl.bootstrap_counts(stats, args.B, lambda z: np.array(
+            [np.count_nonzero(A.contains(z)) for A in sets]), seed=args.seed)
         q_tilde = [set_measure(e, A) for A in sets]
     else:
         grid = default_t_grid()
         labels = ["t=%g" % t for t in grid]
-        q_emp = ecdf_on_grid(draws[:, 0].copy(), grid)
+        counts = bl.bootstrap_counts(stats, args.B, lambda z: (
+            bl.counts_at_or_below(z[:, 0], grid)), seed=args.seed)
         q_tilde = e.cdf_1d(grid)
+    q_emp = counts / args.B
     out_dir = _out_dir(args.out)
     csv_path = os.path.join(out_dir, "bootstrap_compare.csv")
     sup = _write_comparison(csv_path, "set_id", labels, q_emp, q_tilde,
@@ -268,13 +276,16 @@ def cmd_bootstrap_compare(args) -> int:
 def cmd_tstat_study(args) -> int:
     from . import bootstrap as bl
     from .families import make_family
-    from .harness import ecdf_on_grid
     fam = make_family(args.family)
     rng = bl.child_rng(args.seed, 202)
     w = fam.sample(rng, args.n)
     tgrid = _parse_grid(args.tgrid)
-    tstats, degenerate = bl.tstat_bootstrap(w, args.B, seed=args.seed)
-    q_emp = ecdf_on_grid(tstats, tgrid)
+    counts, degenerate = bl.tstat_counts(w, args.B, tgrid, seed=args.seed)
+    if degenerate == args.B:
+        raise ValueError("every one of the %d bootstrap draws has zero "
+                         "variance, so no t-statistic was drawn to count; "
+                         "raise --B or --n" % args.B)
+    q_emp = counts / (args.B - degenerate)
     stats = bl.sample_stats(np.stack([w, w ** 2], axis=1))
     e = bl.empirical_edgeworth(stats, args.s)
     q_tilde, errs, singular = bl.edgeworth_tstat_exact(tgrid, e, stats)

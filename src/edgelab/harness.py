@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import (_is_count, bootstrap_draws, child_rng,
-                        empirical_edgeworth, sample_stats)
+from .bootstrap import (_is_count, bootstrap_counts, child_rng,
+                        counts_at_or_below, empirical_edgeworth,
+                        sample_stats)
 from .expansion import _contract, _hermite_interval, build_expansion
 from .families import Family
 
@@ -28,7 +29,6 @@ __all__ = [
     "StudyRecord",
     "StudyReport",
     "dkw_halfwidth",
-    "ecdf_on_grid",
     "exact_sum_cdf_mc",
     "rate_study",
     "uniform_sweep",
@@ -108,13 +108,6 @@ def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
     return slope, float("nan")
 
 
-def ecdf_on_grid(samples: np.ndarray, grid) -> np.ndarray:
-    """Empirical CDF of samples at each grid point; sorts samples in place."""
-    samples.sort()
-    return np.searchsorted(samples, np.asarray(grid, dtype=float),
-                           side="right") / samples.size
-
-
 def exact_sum_cdf_mc(F: np.ndarray, M: int, seed: int,
                      stream_key: Tuple[int, ...] = ()
                      ) -> Tuple[np.ndarray, float]:
@@ -157,8 +150,8 @@ def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
             child_rng(seed, fam_key, 1, n, rep), n))
         draw_seed = int(child_rng(seed, fam_key, 2, n, rep)
                         .integers(0, 2 ** 63))
-        cdf = ecdf_on_grid(bootstrap_draws(stats, B, seed=draw_seed)[:, 0],
-                           t_grid)
+        cdf = bootstrap_counts(stats, B, lambda z: counts_at_or_below(
+            z[:, 0], t_grid), seed=draw_seed) / B
         band = dkw_halfwidth(B)
         cumulants = empirical_edgeworth(stats, order).cumulants
         metric = "bootstrap_sup_dev"

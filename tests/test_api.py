@@ -18,6 +18,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "edgelab"
 # calls, and why they stay.
 KEPT = {
     "edgeworth_tstat_curve": "tracer target, item 5",
+    "bootstrap_draws": "tracer target, item 5; criteria 9-11 read the draws",
+    "tstat_bootstrap": "tracer target, item 5; criteria 9-11 read the draws",
     "Family.sum_sample": "tracer target, item 5",
     "Family.lattice": "ROADMAP item 6: a lattice sweep variant must "
                       "report no-margin",

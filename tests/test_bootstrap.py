@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from edgelab import bootstrap
-from edgelab.bootstrap import (_BLOCK, bootstrap_draws, child_rng,
+from edgelab.bootstrap import (_BLOCK, bootstrap_counts, bootstrap_draws,
+                               child_rng, counts_at_or_below,
                                edgeworth_tstat_curve, edgeworth_tstat_exact,
                                empirical_edgeworth, event_checks,
-                               sample_stats, tstat_bootstrap,
+                               sample_stats, tstat_bootstrap, tstat_counts,
                                tstat_pushforward)
 from edgelab.cumulants import inv_sqrt_spd
 from edgelab.expansion import SetSpec, set_measure
@@ -119,44 +120,79 @@ def _studentize_reference(w):
     return studentize
 
 
+_GRID = np.linspace(-3.0, 3.0, 61)
+
+
+def _tally(d):
+    """Counts of an (m, d) array of draws: in a half-space, a box and a
+    ball, then at or below each _GRID point on the first coordinate."""
+    sets = [SetSpec.halfspace(np.arange(1.0, d + 1), 0.3),
+            SetSpec.box(-np.ones(d), np.ones(d)),
+            SetSpec.ball(np.zeros(d), 1.5)]
+
+    def tally(z):
+        inside = [np.count_nonzero(A.contains(z)) for A in sets]
+        return np.concatenate([inside,
+                               counts_at_or_below(z[:, 0].copy(), _GRID)])
+    return tally
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bootstrap_draws_match_per_chunk_reference(d, monkeypatch):
+    """The draws, and the counts of bootstrap_counts, which tallies each
+    chunk apart, equal the reference's and the counts of its joined
+    draws."""
     pts = skewed_sample(40, seed=21, d=d)
     ref = _per_chunk_loop(pts, _GUARD_B, 9, _standardize_reference(pts))
+    want = _tally(d)(ref)
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
         got = bootstrap_draws(sample_stats(pts), _GUARD_B, seed=9)
         assert got.shape == (_GUARD_B, d)
         assert np.array_equal(got, ref)
+        counts = bootstrap_counts(sample_stats(pts), _GUARD_B, _tally(d),
+                                  seed=9)
+        assert np.array_equal(counts, want)
 
 
 def test_tstat_bootstrap_matches_per_chunk_reference(monkeypatch):
     w = np.random.default_rng(22).exponential(size=4)  # some degenerate
     ref = _per_chunk_loop(w, _GUARD_B, 10, _studentize_reference(w))
+    want = counts_at_or_below(ref.copy(), _GRID)
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
         got, degenerate = tstat_bootstrap(w, _GUARD_B, seed=10)
         assert np.array_equal(got, ref)
         assert degenerate == _GUARD_B - ref.size > 0
+        counts, degenerate = tstat_counts(w, _GUARD_B, _GRID, seed=10)
+        assert np.array_equal(counts, want)
+        assert degenerate == _GUARD_B - ref.size
 
 
 # n = 400 splits each chunk into row blocks of 163 resamples; past
 # _BLOCK indices every block holds a single resample, and a matrix product
 # per one-row block would differ from the reference in the last bit.
-@pytest.mark.parametrize("n, d, B", [(400, 3, _GUARD_B), (_BLOCK + 3, 1, 3),
-                                     (_BLOCK + 3, 3, 8)])
+@pytest.mark.parametrize("n, d, B", [(400, 3, _GUARD_B), (41, 2, _GUARD_B),
+                                     (_BLOCK + 3, 1, 3), (_BLOCK + 3, 3, 8)])
 def test_resampling_in_row_blocks_matches_per_chunk_reference(
         n, d, B, monkeypatch):
     pts = skewed_sample(n, seed=23, d=d)
     ref = _per_chunk_loop(pts, B, 11, _standardize_reference(pts))
     w = pts[:, 0]
     ref_t = _per_chunk_loop(w, B, 12, _studentize_reference(w))
+    want = _tally(d)(ref)
+    want_t = counts_at_or_below(ref_t.copy(), _GRID)
     for workers in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: workers)
         assert np.array_equal(bootstrap_draws(sample_stats(pts), B,
                                               seed=11), ref)
+        assert np.array_equal(bootstrap_counts(sample_stats(pts), B,
+                                               _tally(d), seed=11), want)
         got, _ = tstat_bootstrap(w, B, seed=12)
         assert np.array_equal(got, ref_t)
+        counts, degenerate = tstat_counts(w, B, _GRID, seed=12)
+        assert np.array_equal(counts, want_t)
+        assert degenerate == B - ref_t.size
 
 
 def test_resampling_default_workers_and_validation(monkeypatch):
@@ -180,6 +216,44 @@ def test_resampling_budget_is_a_count(B):
         bootstrap_draws(sample_stats(pts), B)
     with pytest.raises(ValueError, match="B must be an integer >= 1"):
         tstat_bootstrap(pts[:, 0], B)
+    with pytest.raises(ValueError, match="B must be an integer >= 1"):
+        bootstrap_counts(sample_stats(pts), B, _tally(1))
+    with pytest.raises(ValueError, match="B must be an integer >= 1"):
+        tstat_counts(pts[:, 0], B, _GRID)
+
+
+def _traced_peak(run) -> int:
+    """The peak of memory traced while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("count", ["bootstrap", "tstat"])
+def test_counting_memory_does_not_grow_with_B(count, monkeypatch):
+    """On one CPU the counts hold one chunk of draws and one block of
+    resamples at a time (about 2.4 MiB for the d = 3 draws, 2.1 MiB for
+    the t draws) and a few ints per chunk, so the peak at B = 2^20 is that
+    at B = 2^16 within 0.25 MiB and under 4 MiB.  Tallying the joined
+    draws peaks at 48 MiB and 16 MiB at B = 2^20."""
+    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 1)
+    pts = skewed_sample(41, seed=27, d=3)
+    if count == "bootstrap":
+        st = sample_stats(pts)
+        tally = _tally(3)
+
+        def run(B):
+            bootstrap_counts(st, B, tally, seed=1)
+    else:
+        def run(B):
+            tstat_counts(pts[:, 0], B, _GRID, seed=1)
+    small, large = (_traced_peak(lambda: run(B)) for B in (2 ** 16, 2 ** 20))
+    assert large < small + 2 ** 18
+    assert large < 4 * 2 ** 20
 
 
 def test_bootstrap_draws_rejects_degenerate_data():

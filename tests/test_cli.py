@@ -483,7 +483,7 @@ def test_set_of_another_dimension_is_refused(tmp_path, capsys, monkeypatch,
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps([{"kind": "ball", "center": [0.0] * 3,
                                  "radius": 1.0}, spec]))
-    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
     _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
                    "--out", str(tmp_path / "o")],
                   ["%s set 1: " % sets] + words, capsys)
@@ -498,7 +498,7 @@ def test_shifted_ball_is_refused_before_resampling(tmp_path, capsys,
     sets.write_text(json.dumps([
         {"kind": "ball", "center": [0.0] * 3, "radius": 1.0},
         {"kind": "ball", "center": [0.5, 0.0, 0.0], "radius": 1.0}]))
-    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
     _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
                    "--out", str(tmp_path / "o")],
                   ["%s set 1: " % sets, "[0.5, 0.0, 0.0]",
@@ -533,7 +533,7 @@ def test_bad_set_value_is_refused(tmp_path, capsys, monkeypatch,
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps([{"kind": "halfspace", "normal": [1, 0],
                                  "offset": 0.0}, spec]))
-    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
     _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
                    "--out", str(tmp_path / "o")],
                   ["%s set 1: " % sets] + words, capsys)
@@ -544,7 +544,7 @@ def test_multi_column_data_without_sets_is_refused(tmp_path, capsys,
                                                    monkeypatch):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(4).normal(size=(50, 3)))
-    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
     _fails_naming(["bootstrap-compare", "--data", data,
                    "--out", str(tmp_path / "o")],
                   ["--sets", "3 columns"], capsys)
@@ -558,6 +558,27 @@ def test_bad_tgrid_is_refused(tmp_path, capsys, tgrid):
                    "--tgrid=" + tgrid, "--out", str(tmp_path / "o")],
                   ["--tgrid", repr(tgrid)], capsys)
     assert not (tmp_path / "o").exists()
+
+
+def test_tstat_study_with_only_degenerate_draws_is_refused(tmp_path,
+                                                           capsys):
+    """At n = 3 the one resample of seed 17 repeats a single value, so no
+    t-statistic is drawn: the study is refused, not reported with a NaN
+    CDF and a sup deviation of 0."""
+    _fails_naming(["tstat-study", "--family", "centered-exponential",
+                   "--n", "3", "--B", "1", "--seed", "17", "--tgrid=-1:1:0.5",
+                   "--out", str(tmp_path / "o")],
+                  ["1 bootstrap draws has zero variance"], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_comparison_table_refuses_a_nan_deviation(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=r"deviation at t 0\.5 is not a "
+                                         r"number \(q_emp nan, q_tilde 0\.6\)"):
+        cli._write_comparison(str(path), "t", ["0.0", "0.5"],
+                              [0.5, float("nan")], [0.5, 0.6], [0.01] * 2)
+    assert not path.exists()
 
 
 # PiB-scale grids: numpy refuses each array before allocating any of it
@@ -603,7 +624,7 @@ def test_scans_refuse_a_bad_cR_before_scanning(spread_csv, capsys,
 @pytest.mark.parametrize("rho_bar", ["nan", "-1", "0", "inf"])
 def test_bad_rho_bar_is_refused_before_resampling(tmp_path, capsys,
                                                   monkeypatch, rho_bar):
-    monkeypatch.setattr(bootstrap, "bootstrap_draws", _no_resampling)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
     _fails_naming(["bootstrap-compare", "--n", "50", "--B", "100",
                    "--rho-bar", rho_bar, "--out", str(tmp_path / "o")],
                   ["rho_bar must be a finite number > 0", rho_bar], capsys)

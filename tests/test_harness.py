@@ -8,11 +8,12 @@ from scipy.stats import binom, norm
 from scipy.stats import gamma as gamma_law
 
 from edgelab import bootstrap, families, harness
-from edgelab.bootstrap import child_rng, empirical_edgeworth, sample_stats
+from edgelab.bootstrap import (child_rng, counts_at_or_below,
+                               empirical_edgeworth, sample_stats)
 from edgelab.expansion import EdgeworthExpansion, build_expansion
 from edgelab.families import Family, make_family
 from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
-                             dkw_halfwidth, ecdf_on_grid, emit_report,
+                             dkw_halfwidth, emit_report,
                              exact_sum_cdf_mc, fit_loglog_slope,
                              rate_study, uniform_sweep)
 from oracles import parse_report_csv
@@ -181,7 +182,7 @@ def test_sum_cdf_agrees_with_simulated_sums(name):
         F = fam.sum_cdf(n, grid)
         assert np.all(np.diff(F) >= -1e-14)
         assert 0.0 <= F[0] and F[-1] <= 1.0 + 1e-12
-        assert np.max(np.abs(ecdf_on_grid(sums, grid) - F)) \
+        assert np.max(np.abs(counts_at_or_below(sums, grid) / M - F)) \
             <= dkw_halfwidth(M)
 
 
@@ -332,7 +333,7 @@ def test_bootstrap_rate_study_refuses_a_bad_budget_before_resampling(
         monkeypatch, B):
     def no_resampling(*args, **kwargs):
         raise AssertionError("resampled before refusing B")
-    monkeypatch.setattr(harness, "bootstrap_draws", no_resampling)
+    monkeypatch.setattr(harness, "bootstrap_counts", no_resampling)
     with pytest.raises(ValueError, match="budget B, an integer >= 1"):
         rate_study(make_family("gaussian"), 3, [25, 50, 100, 200], M=1000,
                    seed=0, mode="bootstrap", B=B)
