@@ -298,7 +298,6 @@ def tstat_counts(W, B: int, grid, seed: int = 0,
     Each chunk is sorted and counted on the thread that drew it, so memory
     holds one chunk per thread, never all B draws.
     """
-    grid = np.asarray(grid, dtype=float)
     parts = _studentized_chunks(W, B, seed, stream_key, lambda t: (
         t.size, counts_at_or_below(t, grid)))
     return (sum(counts for _, counts in parts),

@@ -19,8 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import (_is_count, bootstrap_counts, child_rng,
-                        counts_at_or_below, empirical_edgeworth,
+# bootstrap_draws is not called here; the benchmark's tracer self-test
+# (perfbench/tests) checks that the tracer rebinds harness.bootstrap_draws
+from .bootstrap import (_is_count, bootstrap_counts, bootstrap_draws,
+                        child_rng, counts_at_or_below, empirical_edgeworth,
                         sample_stats)
 from .expansion import _contract, _hermite_interval, build_expansion
 from .families import Family
