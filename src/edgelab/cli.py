@@ -327,12 +327,22 @@ def _run_config(args, name: str, required: str, run) -> int:
     return 2 if flags and all(f == "inconclusive" for f in flags) else 0
 
 
+def _theta(obj: dict, where: str) -> dict:
+    """obj's family parameters, {} when it has no "theta"; refused unless
+    they are a JSON object."""
+    theta = obj.get("theta", {})
+    if not isinstance(theta, dict):
+        raise ValueError("%s: 'theta' must be a JSON object, not %r"
+                         % (where, theta))
+    return theta
+
+
 def cmd_rate_study(args) -> int:
     from .families import make_family
     from .harness import rate_study
 
     def run(cfg, settings):
-        fam = make_family(cfg["family"], **cfg.get("theta", {}))
+        fam = make_family(cfg["family"], **_theta(cfg, args.config))
         return rate_study(fam, **settings)
     return _run_config(args, "rate_study", "family", run)
 
@@ -343,7 +353,7 @@ def cmd_uniform_sweep(args) -> int:
 
     def run(cfg, settings):
         where = "a family in %s" % args.config
-        fams = [make_family(_need(f, "name", where), **f.get("theta", {}))
+        fams = [make_family(_need(f, "name", where), **_theta(f, where))
                 for f in cfg["families"]]
         return uniform_sweep(fams, rho_cap=cfg.get("rho_cap"), **settings)
     return _run_config(args, "uniform_sweep", "families", run)

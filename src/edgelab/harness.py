@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from math import log, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +30,7 @@ from .families import Family
 __all__ = [
     "StudyRecord",
     "StudyReport",
+    "cell_probabilities",
     "dkw_halfwidth",
     "exact_sum_cdf_mc",
     "rate_study",
@@ -110,68 +111,58 @@ def fit_loglog_slope(ns: Sequence[int], values: Sequence[float]
     return slope, float("nan")
 
 
-def exact_sum_cdf_mc(F: np.ndarray, M: int, seed: int,
+def exact_sum_cdf_mc(p: np.ndarray, M: int, seed: int,
                      stream_key: Tuple[int, ...] = ()
                      ) -> Tuple[np.ndarray, float]:
     """Empirical CDF of M standardized sums on a grid, with its DKW band.
 
-    F is the exact CDF of the sum at the grid points, one row of
-    Family.sum_cdf.  The numbers of M sums in the cells (-inf, t_0],
-    (t_0, t_1], ..., (t_last, inf) follow the Multinomial(M, p) law, p the
-    increments of F; one draw from the stream child_rng(seed, *stream_key)
-    gives them, and their cumulative sums are the counts at or below each
-    grid point.  This is the same experiment as simulating the M sums, in
-    O(grid) memory and time for any M.
+    p holds the probabilities of the cells (-inf, t_0], (t_0, t_1], ...,
+    (t_last, inf) under the sum's exact law, one row of
+    cell_probabilities(Family.sum_cdf(...)).  The numbers of M sums in
+    those cells follow the Multinomial(M, p) law; one draw from the stream
+    child_rng(seed, *stream_key) gives them, and their cumulative sums are
+    the counts at or below each grid point.  This is the same experiment
+    as simulating the M sums, in O(grid) memory and time for any M.
     """
-    F = np.clip(F, 0.0, 1.0)
-    p = np.maximum(np.diff(F, prepend=0.0, append=1.0), 0.0)
     counts = child_rng(seed, *stream_key).multinomial(M, p)
     return np.cumsum(counts[:-1]) / M, dkw_halfwidth(M)
 
 
-def _cell(family: Family, n: int, rep: int, s_values, mode: str, M, B,
-          t_grid, seed: int, basis: np.ndarray,
-          law: Optional[np.ndarray] = None) -> List[StudyRecord]:
-    """Sup deviations at one (n, rep) for each s: in analytic mode the
-    empirical CDF of M sums, drawn from the sum's exact law on the grid
-    (law, a row of Family.sum_cdf) by exact_sum_cdf_mc on the stream
-    (seed, family key, 0, n, rep), against the analytic-cumulant
-    expansion; in bootstrap mode bootstrap draws against the
-    empirical-cumulant expansion.  One cumulant table, of order
-    max(s_values), serves every s, and each expansion's CDF on the grid
-    contracts the study's Hermite integrals `basis` (the values of
-    EdgeworthExpansion.cdf_1d, bit for bit)."""
+def cell_probabilities(F: np.ndarray) -> np.ndarray:
+    """The grid cells' probabilities under exact CDFs F, given at the grid
+    points along the last axis: the increments of F clipped to [0, 1],
+    from 0 before the first point to 1 after the last, with rounding's
+    negative increments set to 0.  One call takes every row of a study."""
+    F = np.clip(F, 0.0, 1.0)
+    return np.maximum(np.diff(F, prepend=0.0, append=1.0), 0.0)
+
+
+def _hermite_tables(cumulants, s_values) -> Dict[int, dict]:
+    """The Hermite tables of the order-s expansion for each s in s_values.
+    They do not depend on n, so the n = 1 expansion gives them."""
+    return {s: build_expansion(cumulants, 1, s).hermite_coeffs
+            for s in s_values}
+
+
+def _bootstrap_cell(family: Family, n: int, rep: int, s_values, B: int,
+                    t_grid, seed: int):
+    """One bootstrap-mode cell: the CDF on t_grid of B bootstrap draws from
+    a sample of n drawn on the stream (seed, family key, 1, n, rep), its
+    DKW band, and the Hermite tables of that sample's empirical-cumulant
+    expansions, one per s."""
     fam_key = _family_key(family.name)
-    order = max(s_values)
-    if mode == "analytic":
-        cdf, band = exact_sum_cdf_mc(law, M, seed, (fam_key, 0, n, rep))
-        cumulants = family.standardized_cumulants(order)
-        metric = "sup_dev"
-    else:
-        stats = sample_stats(family.sample(
-            child_rng(seed, fam_key, 1, n, rep), n))
-        draw_seed = int(child_rng(seed, fam_key, 2, n, rep)
-                        .integers(0, 2 ** 63))
-        cdf = bootstrap_counts(stats, B, lambda z: counts_at_or_below(
-            z[:, 0], t_grid), seed=draw_seed) / B
-        band = dkw_halfwidth(B)
-        cumulants = empirical_edgeworth(stats, order).cumulants
-        metric = "bootstrap_sup_dev"
-    theta = json.dumps(family.theta, sort_keys=True)
-    recs = []
-    for s in s_values:
-        e = build_expansion(cumulants, n, s)
-        expected = _contract(e.hermite_coeffs, e.n, [basis])
-        value = float(np.max(np.abs(cdf - expected)))
-        flag = "inconclusive" if band >= value else ""
-        recs.append(StudyRecord(family.name, theta, n, rep, s, metric,
-                                value, band, flag, seed))
-    return recs
+    stats = sample_stats(family.sample(child_rng(seed, fam_key, 1, n, rep), n))
+    draw_seed = int(child_rng(seed, fam_key, 2, n, rep).integers(0, 2 ** 63))
+    cdf = bootstrap_counts(stats, B, lambda z: counts_at_or_below(
+        z[:, 0], t_grid), seed=draw_seed) / B
+    cumulants = empirical_edgeworth(stats, max(s_values)).cumulants
+    return cdf, dkw_halfwidth(B), _hermite_tables(cumulants, s_values)
 
 
-def _checked_grid(n_grid: Sequence[int], reps) -> List[int]:
-    """n_grid as a list, once it and reps are known to hold ints >= 1 and
-    n_grid to increase strictly over at least 4 points."""
+def _checked_settings(n_grid: Sequence[int], reps, s, seed) -> List[int]:
+    """n_grid as a list, once it and reps are known to hold ints >= 1,
+    n_grid to increase strictly over at least 4 points, s to be an int
+    >= 2 and seed an int >= 0."""
     n_grid = list(n_grid)
     for n in n_grid:
         if not _is_count(n):
@@ -181,6 +172,11 @@ def _checked_grid(n_grid: Sequence[int], reps) -> List[int]:
         raise ValueError("reps must be an integer >= 1, not %r" % (reps,))
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing with >= 4 points")
+    if not (_is_count(s) and s >= 2):
+        raise ValueError("s must be an integer >= 2, not %r" % (s,))
+    if not (isinstance(seed, int) and not isinstance(seed, bool)
+            and seed >= 0):
+        raise ValueError("seed must be an integer >= 0, not %r" % (seed,))
     return n_grid
 
 
@@ -191,15 +187,22 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
 
     analytic mode compares the empirical CDF of M standardized sums, drawn
     from the sum's exact law (exact_sum_cdf_mc), against the
-    analytic-cumulant expansion; the exact laws of every n are evaluated
-    once, in one Family.sum_cdf call, before the cells run.  bootstrap
-    mode compares bootstrap draws against the empirical-cumulant
-    expansion.  Both evaluate on default_t_grid(), where the integrals of
-    He_k phi up to each grid point, for every degree k the expansions
-    reach, are computed once for the study.  The (n, rep) cells run in
-    order.  Fitted log-log slopes use non-flagged records only.
+    analytic-cumulant expansion.  bootstrap mode compares bootstrap draws
+    against the empirical-cumulant expansion of each cell's sample.  Both
+    evaluate on default_t_grid(), where the integrals of He_k phi up to
+    each grid point, for every degree k the expansions reach, are computed
+    once for the study.
+
+    What does not depend on n runs once per study: the integrals, the
+    theta string, and in analytic mode the cumulant table of order
+    max(s_values), the Hermite tables of each s (the correction
+    polynomials P_j) and, in one Family.sum_cdf call and one pass over its
+    rows, the cell probabilities of every n.  Each (n, rep) cell, in
+    order, draws its CDF on its own stream and contracts each s's tables
+    with the integrals at its n (the floats of EdgeworthExpansion.cdf_1d,
+    bit for bit).  Fitted log-log slopes use non-flagged records only.
     """
-    n_grid = _checked_grid(n_grid, reps)
+    n_grid = _checked_settings(n_grid, reps, s, seed)
     t_grid = default_t_grid()
     s_values = sorted({2, s})
     if mode not in ("analytic", "bootstrap"):
@@ -209,8 +212,16 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
                          "integer >= 1, not %r" % (B,))
     if mode == "analytic" and not _is_count(M):
         raise ValueError("M must be an integer >= 1, not %r" % (M,))
-    laws = (family.sum_cdf(np.array(n_grid)[:, None], t_grid)
-            if mode == "analytic" else [None] * len(n_grid))
+    fam_key = _family_key(family.name)
+    theta = json.dumps(family.theta, sort_keys=True)
+    if mode == "analytic":
+        tables = _hermite_tables(
+            family.standardized_cumulants(max(s_values)), s_values)
+        laws = cell_probabilities(family.sum_cdf(np.array(n_grid)[:, None],
+                                                 t_grid))
+        metric = "sup_dev"
+    else:
+        metric = "bootstrap_sup_dev"
     # P_j has degree at most 3 j, and j < max(s_values) - 1
     basis = _hermite_interval(3 * (max(s_values) - 2), -math.inf, t_grid)
     report = StudyReport(config={
@@ -219,10 +230,21 @@ def rate_study(family: Family, s: int, n_grid: Sequence[int], M: int,
         "reps": reps, "mode": mode, "seed": seed,
         "t_grid": [float(t_grid[0]), float(t_grid[-1]), int(t_grid.size)],
     })
-    for n, law in zip(n_grid, laws):
+    for i, n in enumerate(n_grid):
         for rep in range(reps):
-            report.records.extend(_cell(family, n, rep, s_values, mode, M, B,
-                                        t_grid, seed, basis, law))
+            if mode == "analytic":
+                cdf, band = exact_sum_cdf_mc(laws[i], M, seed,
+                                             (fam_key, 0, n, rep))
+            else:
+                cdf, band, tables = _bootstrap_cell(family, n, rep, s_values,
+                                                    B, t_grid, seed)
+            for sv in s_values:
+                value = float(np.max(np.abs(
+                    cdf - _contract(tables[sv], n, [basis]))))
+                flag = "inconclusive" if band >= value else ""
+                report.records.append(StudyRecord(
+                    family.name, theta, n, rep, sv, metric, value, band,
+                    flag, seed))
     report.finalize()
     for sv in s_values:
         report.slopes["s=%d" % sv] = _fit([r for r in report.records
@@ -243,7 +265,7 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
     """
     if len(families) == 0:
         raise ValueError("need at least one family variant")
-    n_grid = _checked_grid(n_grid, reps)
+    n_grid = _checked_settings(n_grid, reps, s, seed)
     report = StudyReport(config={
         "driver": "uniform_sweep",
         "families": [{"name": f.name, "theta": f.theta} for f in families],
@@ -323,7 +345,7 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
                 "config": report.config,
                 "config_hash": report.config_hash,
                 "slopes": report.json_slopes(),
-                "records": [asdict(r) for r in report.records],
+                "records": [vars(r) for r in report.records],
             }
             text = json.dumps(payload, sort_keys=True, allow_nan=False)
             with open(path, "w") as fh:

@@ -402,6 +402,39 @@ def test_study_refuses_a_bad_count(tmp_path, capsys, command, key, value,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["rate-study", "uniform-sweep"])
+@pytest.mark.parametrize("key, value, words", [
+    ("s", 3.0, ["s must be an integer >= 2", "3.0"]),
+    ("s", "3", ["s must be an integer >= 2", "'3'"]),
+    ("s", True, ["s must be an integer >= 2", "True"]),
+    ("s", 1, ["s must be an integer >= 2", "not 1"]),
+    ("seed", 1.5, ["seed must be an integer >= 0", "1.5"]),
+    ("seed", -1, ["seed must be an integer >= 0", "-1"]),
+    ("seed", False, ["seed must be an integer >= 0", "False"]),
+    ("theta", [1], ["'theta' must be a JSON object", "[1]"]),
+], ids=["s-float", "s-string", "s-bool", "s-one", "seed-fraction",
+        "seed-negative", "seed-bool", "theta-list"])
+def test_study_refuses_a_bad_setting(tmp_path, capsys, command, key, value,
+                                     words):
+    """s must be an integer >= 2, seed an integer >= 0 (a bool is neither)
+    and a family's theta a JSON object: the study exits 1 naming the key,
+    before it writes anything.  A float s or a list theta raised a
+    TypeError, s = true ran as s = 1, and seed = 1.5 ran with the draws
+    of seed 1."""
+    family = {"name": "centered-exponential"}
+    cfg = {"family": "centered-exponential", "families": [family],
+           "n_grid": [25, 50, 100, 200], "M": 1000,
+           "out": str(tmp_path / "o")}
+    if key == "theta":          # a rate study's own, or a sweep family's
+        cfg["theta"] = family["theta"] = value
+    else:
+        cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming([command, "--config", str(path)], words, capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("family, theta, words", [
     ("gamma", {"shape": -1.5}, ["gamma shape", "> 0", "-1.5"]),
     ("gamma", {"shape": 0}, ["gamma shape", "> 0", "not 0"]),
@@ -882,7 +915,6 @@ def test_each_data_set_is_summarized_once(tmp_path, capsys, monkeypatch,
                      "--tgrid=-1:1:0.5", "--out", out]) == 0
     else:
         t_grid = harness.default_t_grid()
-        harness._cell(make_family("centered-exponential"), 40, 0, [2, 3],
-                      "bootstrap", None, 1000, t_grid, 3,
-                      harness._hermite_interval(3, -math.inf, t_grid))
+        harness._bootstrap_cell(make_family("centered-exponential"), 40, 0,
+                                [2, 3], 1000, t_grid, 3)
     assert (counts["sample_stats"], counts["raw_moments_from_points"]) == want

@@ -12,8 +12,8 @@ from edgelab.bootstrap import (child_rng, counts_at_or_below,
                                empirical_edgeworth, sample_stats)
 from edgelab.expansion import EdgeworthExpansion, build_expansion
 from edgelab.families import Family, make_family
-from edgelab.harness import (StudyRecord, StudyReport, default_t_grid,
-                             dkw_halfwidth, emit_report,
+from edgelab.harness import (StudyRecord, StudyReport, cell_probabilities,
+                             default_t_grid, dkw_halfwidth, emit_report,
                              exact_sum_cdf_mc, fit_loglog_slope,
                              rate_study, uniform_sweep)
 from oracles import parse_report_csv
@@ -149,8 +149,8 @@ def test_exact_sum_cdf_gaussian_band_honest():
     grid = default_t_grid()
     hits = []
     for seed in range(20):
-        cdf, band = exact_sum_cdf_mc(fam.sum_cdf(50, grid), 20_000, seed,
-                                     (77,))
+        cdf, band = exact_sum_cdf_mc(cell_probabilities(fam.sum_cdf(50, grid)),
+                                     20_000, seed, (77,))
         inside = np.abs(cdf - norm.cdf(grid)) <= band
         hits.append(inside.mean())
     assert np.mean(hits) >= 0.99
@@ -264,7 +264,8 @@ def test_exact_sum_cdf_counts_add_up_to_M(name, M):
     fam = LAWS[name]
     grid = default_t_grid()
     key = (5, 0, 30, 1)
-    cdf, band = exact_sum_cdf_mc(fam.sum_cdf(30, grid), M, 11, key)
+    cdf, band = exact_sum_cdf_mc(cell_probabilities(fam.sum_cdf(30, grid)),
+                                 M, 11, key)
     p = np.diff(fam.sum_cdf(30, grid), prepend=0.0, append=1.0)
     counts = child_rng(11, *key).multinomial(M, np.maximum(p, 0.0))
     assert counts.sum() == M
@@ -278,8 +279,8 @@ def test_exact_sum_cdf_does_not_depend_on_cpus(monkeypatch):
     out = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
-        cdf, band = exact_sum_cdf_mc(fam.sum_cdf(30, default_t_grid()),
-                                     131_077, 11, (5, 0, 30, 1))
+        p = cell_probabilities(fam.sum_cdf(30, default_t_grid()))
+        cdf, band = exact_sum_cdf_mc(p, 131_077, 11, (5, 0, 30, 1))
         out.append(cdf.tobytes() + np.float64(band).tobytes())
     assert out[0] == out[1] == out[2]
 
@@ -289,12 +290,12 @@ def test_exact_sum_cdf_memory_does_not_grow_with_M():
     at M = 1: the chunked sampler held 2^16 sums (0.5 MB) per thread."""
     fam = make_family("centered-exponential")
     grid = default_t_grid()
-    F = fam.sum_cdf(400, grid)
+    p = cell_probabilities(fam.sum_cdf(400, grid))
     peaks = []
     for M in (1, 1, 2 ** 40):    # the first call warms numpy's caches
         tracemalloc.start()
         try:
-            exact_sum_cdf_mc(F, M, 0, (1,))
+            exact_sum_cdf_mc(p, M, 0, (1,))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -376,22 +377,25 @@ def test_uniform_sweep_calls_the_kernel_once_per_gamma_variant(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_rate_study_rows_are_each_n_law(monkeypatch, name):
-    """Every analytic cell draws from the row that Family.sum_cdf gives
-    for its n alone, bit for bit."""
+    """Every analytic cell draws from the cell probabilities of the row
+    that Family.sum_cdf gives for its n alone, bit for bit: the study's one
+    pass over all its rows gives each row's clipped increments."""
     fam = LAWS[name]
     grid = default_t_grid()
     seen = {}
     draw = harness.exact_sum_cdf_mc
 
-    def recorded(F, M, seed, stream_key=()):
-        seen[stream_key[2:]] = F.copy()
-        return draw(F, M, seed, stream_key)
+    def recorded(p, M, seed, stream_key=()):
+        seen[stream_key[2:]] = p.copy()
+        return draw(p, M, seed, stream_key)
     monkeypatch.setattr(harness, "exact_sum_cdf_mc", recorded)
     n_grid = [1, 7, 30, 64]
     rate_study(fam, 3, n_grid, M=1000, seed=0, reps=2)
     assert sorted(seen) == [(n, rep) for n in n_grid for rep in (0, 1)]
-    for (n, rep), F in seen.items():
-        assert np.array_equal(F, fam.sum_cdf(n, grid))
+    for (n, rep), p in seen.items():
+        F = np.clip(fam.sum_cdf(n, grid), 0.0, 1.0)
+        assert np.array_equal(p, np.maximum(
+            np.diff(F, prepend=0.0, append=1.0), 0.0))
 
 
 @pytest.mark.parametrize("mode", ["analytic", "bootstrap"])
@@ -413,6 +417,90 @@ def test_rate_study_takes_one_hermite_basis(monkeypatch, mode):
     rate_study(make_family("gamma", shape=0.7), 5, [25, 50, 100, 200],
                M=2000, seed=0, mode=mode, B=500, reps=2)
     assert degrees == [9]
+
+
+def _per_cell_records(fam: Family, s: int, n_grid, M: int, seed: int,
+                      reps: int):
+    """Analytic rate-study records as each cell once built them: the
+    cell's own law row, cumulant table and expansions, and the CDF
+    contracted by cdf_1d."""
+    grid = default_t_grid()
+    key = harness._family_key(fam.name)
+    recs = []
+    for n in n_grid:
+        for rep in range(reps):
+            F = np.clip(fam.sum_cdf(n, grid), 0.0, 1.0)
+            p = np.maximum(np.diff(F, prepend=0.0, append=1.0), 0.0)
+            counts = child_rng(seed, key, 0, n, rep).multinomial(M, p)
+            cdf = np.cumsum(counts[:-1]) / M
+            band = dkw_halfwidth(M)
+            cumulants = fam.standardized_cumulants(max(2, s))
+            for sv in sorted({2, s}):
+                e = build_expansion(cumulants, n, sv)
+                value = float(np.max(np.abs(cdf - e.cdf_1d(grid))))
+                recs.append(StudyRecord(
+                    fam.name, json.dumps(fam.theta, sort_keys=True), n, rep,
+                    sv, "sup_dev", value, band,
+                    "inconclusive" if band >= value else "", seed))
+    return sorted(recs, key=StudyRecord.sort_key)
+
+
+HOISTED = [make_family("centered-exponential"),
+           make_family("bernoulli", p=0.3),
+           make_family("three-point-irrational"),
+           make_family("gaussian-mixture")]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+@pytest.mark.parametrize("fam", HOISTED, ids=lambda f: f.name)
+def test_rate_study_equals_per_cell_reference(fam, s):
+    """Building the cumulants, the Hermite tables and the cell
+    probabilities once per study changes no float: every record equals,
+    with ==, the one its cell computed alone."""
+    n_grid = [3, 10, 30, 64]
+    got = rate_study(fam, s, n_grid, M=5003, seed=17, reps=2).records
+    assert got == _per_cell_records(fam, s, n_grid, 5003, 17, 2)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_uniform_sweep_equals_per_cell_reference(s):
+    """The sweep's records of each variant equal the per-cell reference
+    with ==, and its per-n maxima are theirs."""
+    n_grid = [3, 10, 30, 64]
+    rep = uniform_sweep(HOISTED, s, n_grid, M=5003, seed=17, reps=2)
+    want = []
+    for fam in HOISTED:
+        want += _per_cell_records(fam, s, n_grid, 5003, 17, 2)
+    assert [r for r in rep.records if r.metric == "sup_dev"] == sorted(
+        want, key=StudyRecord.sort_key)
+    for r in rep.records:
+        if r.family == "sweep-max":
+            assert r.value == max(w.value for w in want
+                                  if (w.n, w.s) == (r.n, r.s))
+
+
+@pytest.mark.parametrize("n_grid", [[25, 50, 100, 200],
+                                    [5, 10, 20, 40, 80, 160, 320]])
+def test_analytic_rate_study_builds_its_tables_once(monkeypatch, n_grid):
+    """An analytic study reads one cumulant table and builds each s's
+    Hermite tables once, whatever the length of its n-grid."""
+    orders, built = [], []
+    cumulants = Family.standardized_cumulants
+    build = harness.build_expansion
+
+    def counted_cumulants(self, order):
+        orders.append(order)
+        return cumulants(self, order)
+
+    def counted_build(c, n, s):
+        built.append(s)
+        return build(c, n, s)
+    monkeypatch.setattr(Family, "standardized_cumulants", counted_cumulants)
+    monkeypatch.setattr(harness, "build_expansion", counted_build)
+    rate_study(make_family("gamma", shape=0.7), 5, n_grid, M=2000, seed=0,
+               reps=2)
+    assert orders == [5]
+    assert built == [2, 5]
 
 
 @pytest.mark.parametrize("name, s", [("centered-exponential", 2),
