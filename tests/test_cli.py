@@ -385,11 +385,23 @@ def test_rate_study_refuses_a_bad_sum_count(tmp_path, capsys, M):
     ("n_grid", [0, 25, 50, 100], ["n_grid", "not 0"]),
     ("reps", 0, ["reps", "not 0"]),
     ("reps", 1.5, ["reps", "1.5"]),
-], ids=["n-fraction", "n-bool", "n-zero", "reps-zero", "reps-fraction"])
+    ("s", 3.0, ["s", ">= 2", "3.0"]),
+    ("s", "3", ["s", ">= 2", "'3'"]),
+    ("s", True, ["s", ">= 2", "True"]),
+    ("s", 1, ["s", ">= 2", "not 1"]),
+    ("seed", 1.5, ["seed", ">= 0", "1.5"]),
+    ("seed", -1, ["seed", ">= 0", "-1"]),
+    ("seed", False, ["seed", ">= 0", "False"]),
+], ids=["n-fraction", "n-bool", "n-zero", "reps-zero", "reps-fraction",
+        "s-float", "s-string", "s-bool", "s-one", "seed-fraction",
+        "seed-negative", "seed-bool"])
 def test_study_refuses_a_bad_count(tmp_path, capsys, command, key, value,
                                    words):
-    """Every n and reps must be an integer >= 1, and a bool is not one:
-    the study exits 1 naming the entry, before it writes anything."""
+    """Every n and reps must be an integer >= 1, s an integer >= 2 and
+    seed an integer >= 0, and a bool is none of them: the study exits 1
+    naming the entry, before it writes anything.  (A float or string s
+    raised a TypeError, s = true ran as s = 1, and seed = 1.5 ran with
+    the draws of seed 1.)"""
     cfg = {"family": "centered-exponential",
            "families": [{"name": "centered-exponential"}],
            "n_grid": [25, 50, 100, 200], "M": 1000,
@@ -397,41 +409,25 @@ def test_study_refuses_a_bad_count(tmp_path, capsys, command, key, value,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _fails_naming([command, "--config", str(path)],
-                  words + ["must be an integer" if key == "reps"
-                           else "must be integers >= 1"], capsys)
+                  words + ["must be integers >= 1" if key == "n_grid"
+                           else "must be an integer"], capsys)
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["rate-study", "uniform-sweep"])
-@pytest.mark.parametrize("key, value, words", [
-    ("s", 3.0, ["s must be an integer >= 2", "3.0"]),
-    ("s", "3", ["s must be an integer >= 2", "'3'"]),
-    ("s", True, ["s must be an integer >= 2", "True"]),
-    ("s", 1, ["s must be an integer >= 2", "not 1"]),
-    ("seed", 1.5, ["seed must be an integer >= 0", "1.5"]),
-    ("seed", -1, ["seed must be an integer >= 0", "-1"]),
-    ("seed", False, ["seed must be an integer >= 0", "False"]),
-    ("theta", [1], ["'theta' must be a JSON object", "[1]"]),
-], ids=["s-float", "s-string", "s-bool", "s-one", "seed-fraction",
-        "seed-negative", "seed-bool", "theta-list"])
-def test_study_refuses_a_bad_setting(tmp_path, capsys, command, key, value,
-                                     words):
-    """s must be an integer >= 2, seed an integer >= 0 (a bool is neither)
-    and a family's theta a JSON object: the study exits 1 naming the key,
-    before it writes anything.  A float s or a list theta raised a
-    TypeError, s = true ran as s = 1, and seed = 1.5 ran with the draws
-    of seed 1."""
-    family = {"name": "centered-exponential"}
-    cfg = {"family": "centered-exponential", "families": [family],
+def test_study_refuses_a_theta_that_is_not_an_object(tmp_path, capsys,
+                                                     command):
+    """A family's theta must be a JSON object, a rate study's own or a
+    sweep family's: a list exits 1 naming the key, where it raised a
+    TypeError."""
+    cfg = {"family": "centered-exponential", "theta": [1],
+           "families": [{"name": "centered-exponential", "theta": [1]}],
            "n_grid": [25, 50, 100, 200], "M": 1000,
            "out": str(tmp_path / "o")}
-    if key == "theta":          # a rate study's own, or a sweep family's
-        cfg["theta"] = family["theta"] = value
-    else:
-        cfg[key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    _fails_naming([command, "--config", str(path)], words, capsys)
+    _fails_naming([command, "--config", str(path)],
+                  ["'theta' must be a JSON object", "[1]"], capsys)
     assert not (tmp_path / "o").exists()
 
 
