@@ -95,15 +95,15 @@ def _standardized_chunks(stats: SampleStats, B: int, seed: int,
                          ) -> list:
     """tally(z) for each chunk z of B draws of sqrt(n) Vhat^{-1/2}
     (bootstrap mean - sample mean), in chunk order, for the sample
-    summarized by stats.  The points are resampled coordinate by
-    coordinate, from their transposed (d, n) copy, and each coordinate of
-    a resample's mean adds its n values pairwise."""
-    def standardize(means):
-        return tally(sqrt(stats.n) * (means.T - stats.mean)
-                     @ stats.inv_root.T)
+    summarized by stats.  Each chunk's (m, d) resample means are
+    standardized in place, then multiplied by Vhat^{-1/2} once."""
+    def standardize(z):
+        z -= stats.mean
+        z *= sqrt(stats.n)
+        return tally(z @ stats.inv_root.T)
 
     return _resample(np.ascontiguousarray(stats.points.T), B, seed,
-                     stream_key, lambda res: res.mean(axis=-1), standardize)
+                     stream_key, standardize)
 
 
 def bootstrap_draws(stats: SampleStats, B: int, seed: int = 0,
@@ -128,8 +128,9 @@ def bootstrap_counts(stats: SampleStats, B: int,
     bootstrap_draws(stats, B, seed, stream_key), where tally maps an
     (m, d) chunk of draws to a vector of int counts and may reorder the
     chunk in place.  Each chunk is tallied on the thread that drew it, so
-    memory holds one chunk per thread and a vector per chunk, never all B
-    draws; the integer sum does not depend on the CPU count.
+    memory holds, per thread, one block of indices and of one coordinate's
+    values (_resample) and one chunk of draws, and a vector per chunk,
+    never all B draws; the integer sum does not depend on the CPU count.
     """
     return sum(_standardized_chunks(stats, B, seed, stream_key, tally))
 
@@ -159,34 +160,48 @@ def map_chunks(chunk: Callable[[int], object], n_chunks: int) -> list:
         return list(pool.map(chunk, range(n_chunks)))
 
 
-def _resample(values: np.ndarray, B: int, seed: int,
-              stream_key: Tuple[int, ...], reduce: Callable,
-              finish: Callable) -> list:
-    """finish of each chunk of B resamples of the n entries along the last
-    axis of values, each reduced along that axis, in chunk order.
+def _resample(rows: np.ndarray, B: int, seed: int,
+              stream_key: Tuple[int, ...], finish: Callable,
+              squares: bool = False) -> list:
+    """finish(means) for each chunk of B resamples of the n columns of the
+    (d, n) array rows, in chunk order, where means is the chunk's
+    C-contiguous (m, d) array of each resample's mean of each row; with
+    squares it is (m, 2 d), and column d + k holds the mean of the
+    squares of row k's resampled values.
 
     Chunk ci holds resamples ci * _CHUNK onwards and draws from the stream
     (seed, *stream_key, ci), in row blocks of about _BLOCK indices: a
-    block of r resamples gathers values[..., idx] for its (r, n) indices
-    and is passed to reduce, which must treat resamples independently and
-    keep them on its output's last axis.  finish maps the chunk's output,
-    concatenated along that axis, to the chunk's result.  The chunks run
-    through map_chunks.
+    block of r resamples draws its (r, n) indices, then gathers one row of
+    rows at a time and adds each resample's n values of it pairwise,
+    straight into that row's column of means; the chunk's sums are divided
+    by n once, the floats of numpy's mean.  So a thread holds one block of
+    indices, one block of one row's values and the chunk's means, whatever
+    d and B are.  The chunks run through map_chunks.
     """
     if not _is_count(B):
         raise ValueError("B must be an integer >= 1, not %r" % (B,))
-    n = values.shape[-1]
-    rows = max(1, _BLOCK // n)
+    d, n = rows.shape
+    block = max(1, _BLOCK // n)
 
-    def chunk(ci):
+    def chunk_means(ci):
         m = min(_CHUNK, B - ci * _CHUNK)
         rng = child_rng(seed, *stream_key, ci)
-        return finish(np.concatenate([
-            reduce(np.take(values, rng.integers(
-                0, n, size=(min(rows, m - lo), n)), axis=-1))
-            for lo in range(0, m, rows)], axis=-1))
+        means = np.empty((m, 2 * d if squares else d))
+        for lo in range(0, m, block):
+            r = min(block, m - lo)
+            idx = rng.integers(0, n, size=(r, n))
+            for k, row in enumerate(rows):
+                res = np.take(row, idx)
+                np.add.reduce(res, axis=-1, out=means[lo:lo + r, k])
+                if squares:
+                    np.add.reduce(np.square(res, out=res), axis=-1,
+                                  out=means[lo:lo + r, d + k])
+                del res     # before the next row is gathered
+            del idx     # before the next block draws its own
+        means /= n
+        return means
 
-    return map_chunks(chunk, -(-B // _CHUNK))
+    return map_chunks(lambda ci: finish(chunk_means(ci)), -(-B // _CHUNK))
 
 
 def empirical_edgeworth(stats: SampleStats, s: int) -> EdgeworthExpansion:
@@ -265,13 +280,14 @@ def _studentized_chunks(W, B: int, seed: int, stream_key: Tuple[int, ...],
         raise ValueError("need at least two distinct values")
     wbar = w.mean()
 
-    def studentize(res):
-        mb = res.mean(axis=1)
-        s2 = np.square(res, out=res).mean(axis=1) - mb * mb
+    def studentize(means):
+        mb = means[:, 0]
+        s2 = means[:, 1] - mb * mb
         ok = s2 > 0
-        return sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok])
+        return tally(sqrt(n) * (mb[ok] - wbar) / np.sqrt(s2[ok]))
 
-    return _resample(w, B, seed, stream_key, studentize, tally)
+    return _resample(w[None, :], B, seed, stream_key, studentize,
+                     squares=True)
 
 
 def tstat_bootstrap(W, B: int, seed: int = 0,

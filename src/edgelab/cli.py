@@ -238,6 +238,9 @@ def cmd_bootstrap_compare(args) -> int:
     if args.sets:
         with open(args.sets) as fh:
             specs = json.load(fh)
+        if not (isinstance(specs, list) and specs):
+            raise ValueError("%s: --sets needs a nonempty JSON list of "
+                             "set specs, not %r" % (args.sets, specs))
         sets = [_set_from_json(o, "%s set %d" % (args.sets, i), d)
                 for i, o in enumerate(specs)]
     elif d != 1:

@@ -25,7 +25,7 @@ from .bootstrap import (_is_count, bootstrap_counts, bootstrap_draws,
                         child_rng, counts_at_or_below, empirical_edgeworth,
                         sample_stats)
 from .expansion import _contract, _hermite_interval, build_expansion
-from .families import Family
+from .families import Family, _positive
 
 __all__ = [
     "StudyRecord",
@@ -149,14 +149,17 @@ def _bootstrap_cell(family: Family, n: int, rep: int, s_values, B: int,
     """One bootstrap-mode cell: the CDF on t_grid of B bootstrap draws from
     a sample of n drawn on the stream (seed, family key, 1, n, rep), its
     DKW band, and the Hermite tables of that sample's empirical-cumulant
-    expansions, one per s."""
+    expansions, one per s in the increasing s_values; the largest s takes
+    the table of the empirical expansion itself."""
     fam_key = _family_key(family.name)
     stats = sample_stats(family.sample(child_rng(seed, fam_key, 1, n, rep), n))
     draw_seed = int(child_rng(seed, fam_key, 2, n, rep).integers(0, 2 ** 63))
     cdf = bootstrap_counts(stats, B, lambda z: counts_at_or_below(
         z[:, 0], t_grid), seed=draw_seed) / B
-    cumulants = empirical_edgeworth(stats, max(s_values)).cumulants
-    return cdf, dkw_halfwidth(B), _hermite_tables(cumulants, s_values)
+    e = empirical_edgeworth(stats, s_values[-1])
+    tables = _hermite_tables(e.cumulants, s_values[:-1])
+    tables[s_values[-1]] = e.hermite_coeffs
+    return cdf, dkw_halfwidth(B), tables
 
 
 def _checked_settings(n_grid: Sequence[int], reps, s, seed) -> List[int]:
@@ -261,11 +264,14 @@ def uniform_sweep(families: Sequence[Family], s: int, n_grid: Sequence[int],
     Every family variant runs with the same derived seeds as a standalone
     rate study would use; per-n records of the max are added under the
     pseudo-family name "sweep-max".  Variants whose moment proxy exceeds
-    ``rho_cap`` are rejected with a report entry instead of being run.
+    ``rho_cap``, a finite number > 0 when given, are rejected with a
+    report entry instead of being run.
     """
     if len(families) == 0:
         raise ValueError("need at least one family variant")
     n_grid = _checked_settings(n_grid, reps, s, seed)
+    if rho_cap is not None:
+        _positive("uniform_sweep", "rho_cap", rho_cap)
     report = StudyReport(config={
         "driver": "uniform_sweep",
         "families": [{"name": f.name, "theta": f.theta} for f in families],

@@ -236,7 +236,7 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("count", ["bootstrap", "tstat"])
 def test_counting_memory_does_not_grow_with_B(count, monkeypatch):
     """On one CPU the counts hold one chunk of draws and one block of
-    resamples at a time (about 2.4 MiB for the d = 3 draws, 2.1 MiB for
+    resamples at a time (about 1.4 MiB for the d = 3 draws, 1.3 MiB for
     the t draws) and a few ints per chunk, so the peak at B = 2^20 is that
     at B = 2^16 within 0.25 MiB and under 4 MiB.  Tallying the joined
     draws peaks at 48 MiB and 16 MiB at B = 2^20."""
@@ -254,6 +254,24 @@ def test_counting_memory_does_not_grow_with_B(count, monkeypatch):
     small, large = (_traced_peak(lambda: run(B)) for B in (2 ** 16, 2 ** 20))
     assert large < small + 2 ** 18
     assert large < 4 * 2 ** 20
+
+
+def test_resampling_memory_does_not_grow_with_d(monkeypatch):
+    """A block gathers one coordinate at a time into one (r, n) buffer
+    beside its (r, n) indices, about 0.5 MiB each at n = 400, so on one
+    CPU only the chunk's (m, d) means and draws grow with d: the peak of
+    bootstrap_counts at d = 3 is that at d = 1 within 0.5 MiB (about 1.4
+    against 1.14 MiB).  Gathering all d coordinates of a block at once
+    peaked at 2.4 MiB."""
+    monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 1)
+    peaks = []
+    for d in (1, 3):
+        st = sample_stats(skewed_sample(400, seed=28, d=d))
+        tally = _tally(d)
+        bootstrap_counts(st, 100, tally, seed=1)    # first-call costs
+        peaks.append(_traced_peak(
+            lambda: bootstrap_counts(st, 2 ** 16, tally, seed=1)))
+    assert peaks[1] < peaks[0] + 2 ** 19
 
 
 def test_bootstrap_draws_rejects_degenerate_data():

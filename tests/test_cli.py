@@ -476,6 +476,25 @@ def test_uniform_sweep_refuses_a_bad_family_parameter(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("rho_cap, shown", [
+    ("3", "'3'"), (True, "True"), ([1], "[1]"), (0, "not 0"),
+    (-2.5, "-2.5")], ids=["string", "bool", "list", "zero", "negative"])
+def test_uniform_sweep_refuses_a_bad_rho_cap(tmp_path, capsys, rho_cap,
+                                             shown):
+    """rho_cap, when given, must be a finite number > 0: anything else
+    exits 1 naming it, before any work.  (A string ended in a TypeError,
+    true ran as a cap of 1.0, and a cap <= 0 ran every pilot and ended
+    in "every variant exceeded the moment cap".)"""
+    cfg = {"families": [{"name": "gaussian"}], "s": 2,
+           "n_grid": [25, 50, 100, 200], "M": 1000, "rho_cap": rho_cap,
+           "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _fails_naming(["uniform-sweep", "--config", str(path)],
+                  ["rho_cap must be a finite number", shown], capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_without_a_required_key(tmp_path, capsys):
     data = write_points(tmp_path / "pts.csv",
                         np.random.default_rng(3).normal(size=(50, 2)))
@@ -493,6 +512,24 @@ def test_set_without_a_required_key(tmp_path, capsys):
 
 def _no_resampling(*args, **kwargs):
     raise AssertionError("resampled before refusing the input")
+
+
+@pytest.mark.parametrize("text", ["[]", '{"kind": "ball", "center": [0, '
+                                  '0, 0], "radius": 1.0}'],
+                         ids=["empty", "object"])
+def test_empty_set_list_is_refused_before_resampling(tmp_path, capsys,
+                                                     monkeypatch, text):
+    """--sets must hold a nonempty JSON list: an empty one drew all B
+    resamples and reported a sup deviation of 0.0 over no sets."""
+    data = write_points(tmp_path / "pts.csv",
+                        np.random.default_rng(4).normal(size=(50, 3)))
+    sets = tmp_path / "sets.json"
+    sets.write_text(text)
+    monkeypatch.setattr(bootstrap, "bootstrap_counts", _no_resampling)
+    _fails_naming(["bootstrap-compare", "--data", data, "--sets", str(sets),
+                   "--out", str(tmp_path / "o")],
+                  [str(sets), "nonempty JSON list"], capsys)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("spec, words", [

@@ -503,6 +503,27 @@ def test_analytic_rate_study_builds_its_tables_once(monkeypatch, n_grid):
     assert built == [2, 5]
 
 
+def test_bootstrap_rate_study_builds_each_cells_expansions_once(
+        monkeypatch):
+    """A bootstrap-mode cell builds its order-max expansion once, for the
+    empirical cumulants and its Hermite table, and one expansion per
+    smaller s: a 4-cell study at s = 5 makes 8 builds, not 12."""
+    built = []
+
+    def counted(module):
+        build = module.build_expansion
+
+        def counted_build(c, n, s):
+            built.append(s)
+            return build(c, n, s)
+        monkeypatch.setattr(module, "build_expansion", counted_build)
+    counted(harness)
+    counted(bootstrap)
+    rate_study(make_family("gamma", shape=0.7), 5, [25, 50, 100, 200],
+               M=None, seed=0, mode="bootstrap", B=64)
+    assert sorted(built) == [2] * 4 + [5] * 4
+
+
 @pytest.mark.parametrize("name, s", [("centered-exponential", 2),
                                      ("centered-exponential", 3),
                                      ("gamma", 5), ("bernoulli", 4),
@@ -614,6 +635,22 @@ def test_uniform_sweep_moment_cap():
     with pytest.raises(ValueError):
         uniform_sweep(fams, 4, [25, 50, 100, 200], M=5_000, seed=5,
                       rho_cap=1e-6)
+
+
+@pytest.mark.parametrize("rho_cap", [math.nan, math.inf, -math.inf,
+                                     np.float64(math.nan), 0.0, "3", True,
+                                     [1.0]],
+                         ids=["nan", "inf", "-inf", "numpy-nan", "zero",
+                              "string", "bool", "list"])
+def test_uniform_sweep_refuses_a_bad_rho_cap(monkeypatch, rho_cap):
+    """rho_cap is a finite number > 0 and not a bool, checked before any
+    pilot draw; NaN used to reject every variant."""
+    def no_pilot(*args):
+        raise AssertionError("drew a pilot before refusing rho_cap")
+    monkeypatch.setattr(harness, "_moment_proxy", no_pilot)
+    with pytest.raises(ValueError, match="rho_cap must be a finite number"):
+        uniform_sweep([make_family("gaussian")], 2, [25, 50, 100, 200],
+                      M=1000, seed=0, rho_cap=rho_cap)
 
 
 # -- reports ----------------------------------------------------------------
