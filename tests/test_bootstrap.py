@@ -257,9 +257,9 @@ def test_counting_memory_does_not_grow_with_B(count, monkeypatch):
 
 
 def test_resampling_memory_does_not_grow_with_d(monkeypatch):
-    """A block gathers one coordinate at a time into one (r, n) buffer
-    beside its (r, n) indices, about 0.5 MiB each at n = 400, so on one
-    CPU only the chunk's (m, d) means and draws grow with d: the peak of
+    """A block gathers one coordinate at a time, an (r, n) array beside
+    its (r, n) indices, about 0.5 MiB each at n = 400, so on one CPU
+    only the chunk's (m, d) means and draws grow with d: the peak of
     bootstrap_counts at d = 3 is that at d = 1 within 0.5 MiB (about 1.4
     against 1.14 MiB).  Gathering all d coordinates of a block at once
     peaked at 2.4 MiB."""
